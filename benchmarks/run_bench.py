@@ -27,10 +27,15 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+# The reference conv lowering (the "before" side of the conv keys) lives
+# with the parity tests that use it as their oracle.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 import numpy as np
 
 from bench_utils import bench_scale, legacy_build_cost_table, legacy_generate_evaluator_dataset
+from conv_reference import col2im as reference_col2im
+from conv_reference import per_candidate_loop, reference_lowering
 
 from repro.evaluator import generate_evaluator_dataset
 from repro.hwmodel import (
@@ -51,6 +56,12 @@ def _time(fn, repeats: int = 1) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _warm_time(fn, repeats: int = 3) -> float:
+    """``_time`` after one untimed call that warms the path (and the plan cache)."""
+    fn()
+    return _time(fn, repeats=repeats)
 
 
 def main() -> int:
@@ -204,18 +215,15 @@ def main() -> int:
     step_batch = 16 if bench_scale() == "small" else 32
     images = np.random.default_rng(0).normal(size=(step_batch, 3, 8, 8))
 
-    def supernet_step(fused: bool) -> None:
-        for mixed in supernet.mixed_ops:
-            mixed.fuse_soft_gates = fused
+    def supernet_step() -> None:
         supernet.zero_grad()
         arch_params.zero_grad()
         logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
         (logits * logits).mean().backward()
 
-    supernet_step(False)  # warm both paths before timing
-    supernet_step(True)
-    before = _time(lambda: supernet_step(False), repeats=3)
-    after = _time(lambda: supernet_step(True), repeats=3)
+    with per_candidate_loop():
+        before = _warm_time(supernet_step)
+    after = _warm_time(supernet_step)
     results["supernet_step"] = {
         "before_s": before,
         "after_s": after,
@@ -227,13 +235,13 @@ def main() -> int:
 
     # ------------------------------------------------------------------
     # 7. Autograd convolution kernels: cached index plans (gather im2col,
-    #    bincount-scatter col2im, fused depthwise fold) vs the legacy
-    #    stride-trick/loop lowering.  Geometry: a depthwise MBConv-7 layer
-    #    at the search resolution — the col2im-dominated shape class that
-    #    motivates the plan cache.
+    #    bincount-scatter col2im, fused depthwise fold) vs the reference
+    #    stride-trick/loop lowering (tests/conv_reference.py).  Geometry: a
+    #    depthwise MBConv-7 layer at the search resolution — the
+    #    col2im-dominated shape class that motivates the plan cache.
     # ------------------------------------------------------------------
     from repro.autograd import plans as conv_plans
-    from repro.autograd.conv import _col2im, conv2d
+    from repro.autograd.conv import conv2d
 
     conv_batch = 8 if bench_scale() == "small" else 16
     conv_channels = 96 if bench_scale() == "small" else 144
@@ -249,14 +257,6 @@ def main() -> int:
         "groups": conv_channels,
     }
 
-    def _with_plans(enabled: bool, fn, repeats: int = 3) -> float:
-        previous = conv_plans.set_plans_enabled(enabled)
-        try:
-            fn()  # warm the path (and the plan cache) before timing
-            return _time(fn, repeats=repeats)
-        finally:
-            conv_plans.set_plans_enabled(previous)
-
     plan = conv_plans.get_plan(
         conv_shape, (conv_kernel, conv_kernel), (1, 1), (conv_pad, conv_pad)
     )
@@ -265,7 +265,7 @@ def main() -> int:
         size=(conv_batch, conv_channels * conv_kernel * conv_kernel, positions)
     )
     before = _time(
-        lambda: _col2im(
+        lambda: reference_col2im(
             grad_cols,
             conv_shape,
             (conv_kernel, conv_kernel),
@@ -282,8 +282,9 @@ def main() -> int:
     def conv_forward() -> None:
         conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
 
-    before = _with_plans(False, conv_forward)
-    after = _with_plans(True, conv_forward)
+    with reference_lowering():
+        before = _warm_time(conv_forward)
+    after = _warm_time(conv_forward)
     results["conv_fwd"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"conv_fwd:             {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
@@ -291,7 +292,7 @@ def main() -> int:
         # Input-gradient backward with frozen weights — the relay regime of
         # co-exploration (the frozen network only passes gradients through
         # to the architecture parameters).  The graph must be rebuilt under
-        # the current plan setting so the fold path matches it.
+        # the lowering being timed so the fold path matches it.
         x = Tensor(conv_x, requires_grad=True)
         out = conv2d(x, Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
         seed = np.ones_like(out.data)
@@ -303,11 +304,8 @@ def main() -> int:
         backward_once()
         return _time(backward_once, repeats=3)
 
-    previous = conv_plans.set_plans_enabled(False)
-    try:
+    with reference_lowering():
         before = conv_backward()
-    finally:
-        conv_plans.set_plans_enabled(previous)
     after = conv_backward()
     results["conv_bwd"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"conv_bwd:             {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
@@ -345,12 +343,13 @@ def main() -> int:
     }
     print(f"conv_bwd_weight:      {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
-    # Fused soft-gate mixed-op step: legacy lowering (plans disabled) vs the
-    # plan-cached lowering — the full-step view of the trivial-plan 1x1
-    # expand/project path, the cached depthwise gather/fold and the
-    # plan-tier weight gradient working together (float64, bit-identical).
-    before = _with_plans(False, lambda: supernet_step(True))
-    after = _with_plans(True, lambda: supernet_step(True))
+    # Fused soft-gate mixed-op step: reference lowering vs the plan-cached
+    # lowering — the full-step view of the trivial-plan 1x1 expand/project
+    # path, the cached depthwise gather/fold and the plan-tier weight
+    # gradient working together (float64, bit-identical).
+    with reference_lowering():
+        before = _warm_time(supernet_step)
+    after = _warm_time(supernet_step)
     results["mixedop_step"] = {
         "before_s": before,
         "after_s": after,
@@ -369,8 +368,6 @@ def main() -> int:
     with use_dtype("float32"):
         supernet32 = SuperNet(bench_space, rng=0)
         arch32 = ArchitectureParameters(bench_space, rng=1)
-    for mixed in supernet32.mixed_ops:
-        mixed.fuse_soft_gates = True
 
     def supernet_step_float32() -> None:
         with use_dtype("float32"):

@@ -8,14 +8,11 @@ Tensor, using im2col so the heavy lifting happens inside numpy matmuls.
 
 Three raw-speed tiers sit on the hot path (see ``docs/performance.md``):
 
-* **Cached index plans** — im2col/col2im *and the weight-gradient
-  contraction* route through the :mod:`repro.autograd.plans` cache: one
-  precomputed gather per forward, one bincount scatter-add per backward and
-  a plan-owned ``grad_weight`` over the same cached columns, bit-identical
-  to the historical stride-trick/loop/einsum reference (kept below as
-  ``_im2col``/``_col2im`` and the ``_grad_weight_contract`` fallback for
-  the benchmark baseline, the parity tests and the ``plans_enabled`` kill
-  switch).  1x1/stride-1/pad-0 geometries use zero-copy trivial plans.
+* **Cached index plans** — im2col, col2im, the fused depthwise fold and the
+  weight-gradient contraction all route through one cached
+  :class:`~repro.autograd.plans.ConvPlan` per geometry (looked up with
+  ``get_plan``): one precomputed gather per forward, one bincount scatter-add
+  per backward.  1x1/stride-1/pad-0 geometries use zero-copy trivial plans.
 * **Precision policy** — kernels compute in the tensors' dtype (the
   :mod:`repro.autograd.precision` policy).  At the float64 default the
   contractions are the exact legacy einsums; under the opt-in float32
@@ -37,7 +34,7 @@ import numpy as np
 from repro.autograd import init
 from repro.autograd.module import Module, Parameter
 from repro.autograd.parallel import batch_spans, get_pool, num_threads
-from repro.autograd.plans import ConvPlan, get_plan, plans_enabled
+from repro.autograd.plans import ConvPlan, get_plan
 from repro.autograd.precision import is_fast_dtype
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.utils.seeding import as_rng
@@ -51,121 +48,14 @@ def _pair(value: Union[int, Tuple[int, int]]) -> Tuple[int, int]:
     return (int(value), int(value))
 
 
-def _im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, out_h*out_w).
-
-    Stride-trick reference implementation: the plan cache's gather produces
-    bit-identical columns (asserted by tests/test_conv_plans.py); this stays
-    as the plans-disabled fallback and the benchmark "before" baseline.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (n, c, H', W', kh, kw) view over every kernel window, then keep one
-    # window per stride step; no data is copied until the final reshape.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(n, c * kh * kw, out_h * out_w), (out_h, out_w)
-
-
-def _col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_hw: Tuple[int, int],
-) -> np.ndarray:
-    """Fold columns back into an image, accumulating overlapping contributions.
-
-    Loop-based reference implementation (one strided add per kernel offset);
-    the plan cache's bincount scatter is the fast path and adds each pixel's
-    contributions in the same (i, j) order, so the two are bit-identical.
-    """
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = out_hw
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph : ph + h, pw : pw + w]
-
-
 # ----------------------------------------------------------------------
-# Lowering helpers: plan-routed with stride-trick/loop fallbacks
-# ----------------------------------------------------------------------
-def _lower(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, Tuple[int, int], Optional[ConvPlan]]:
-    """im2col via the cached plan (or the stride-trick path when disabled)."""
-    if plans_enabled():
-        plan = get_plan(x.shape, kernel, stride, padding)
-        return plan.im2col(x), plan.out_hw, plan
-    cols, out_hw = _im2col(x, kernel, stride, padding)
-    return cols, out_hw, None
-
-
-def _fold(
-    grad_cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_hw: Tuple[int, int],
-    plan: Optional[ConvPlan],
-) -> np.ndarray:
-    """col2im via the plan's scatter-add (or the loop path when disabled)."""
-    if plan is not None:
-        return plan.col2im(grad_cols)
-    return _col2im(grad_cols, input_shape, kernel, stride, padding, out_hw)
-
-
-# ----------------------------------------------------------------------
-# Grouped contractions: plan-routed weight grad, float32 matmul fast paths
+# Grouped contractions: float32 matmul fast paths
 # ----------------------------------------------------------------------
 def _forward_contract(weight_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
     """(g, o, k) x (n, g, k, l) -> (n, g, o, l)."""
     if is_fast_dtype(weight_grouped, cols_grouped):
         return np.matmul(weight_grouped[None], cols_grouped)
     return np.einsum("gok,ngkl->ngol", weight_grouped, cols_grouped, optimize=True)
-
-
-def _grad_weight_contract(
-    grad_grouped: np.ndarray,
-    cols_grouped: np.ndarray,
-    plan: Optional[ConvPlan] = None,
-) -> np.ndarray:
-    """(n, g, o, l) x (n, g, k, l) -> (g, o, k).
-
-    With a live plan (and the kill switch on) the contraction is owned by
-    :meth:`ConvPlan.grad_weight` — the plan tier's float64 form is the legacy
-    einsum verbatim, so the routing is bit-transparent; the plans-disabled
-    fallback keeps the historical expressions below so ``plans_enabled(False)``
-    reverts the *entire* lowering, weight gradient included.
-    """
-    if plan is not None and plans_enabled():
-        return plan.grad_weight(grad_grouped, cols_grouped)
-    if is_fast_dtype(grad_grouped, cols_grouped):
-        return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-    return np.einsum("ngol,ngkl->gok", grad_grouped, cols_grouped, optimize=True)
 
 
 def _grad_cols_contract(weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
@@ -202,32 +92,30 @@ def conv2d(
     weight = as_tensor(weight)
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
-    kernel = (int(weight.shape[2]), int(weight.shape[3]))
-    stride = _pair(stride)
-    padding = _pair(padding)
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     out_channels = weight.shape[0]
+    _check_groups(c, out_channels, groups)
     if c != weight.shape[1] * groups:
         raise ValueError(
             f"expected {weight.shape[1] * groups} input channels, got {c}"
         )
 
+    kernel = (int(weight.shape[2]), int(weight.shape[3]))
     kh, kw = kernel
     group_in = c // groups
     group_out = out_channels // groups
     weight_grouped = weight.data.reshape(groups, group_out, group_in * kh * kw)
+    # Plans exclude the batch axis, so one plan serves every batch chunk.
+    plan = get_plan(x.shape, kernel, _pair(stride), _pair(padding))
 
     spans = batch_spans(n, num_threads()) if n > 1 else [(0, n)]
     if len(spans) > 1:
-        return _conv2d_threaded(
-            x, weight, bias, stride, padding, groups, kernel, weight_grouped, spans
-        )
+        return _conv2d_threaded(x, weight, bias, groups, plan, weight_grouped, spans)
 
-    cols, (out_h, out_w), plan = _lower(x.data, kernel, stride, padding)
-
+    out_h, out_w = plan.out_hw
     # One batched contraction over a groups axis replaces the per-group loop;
     # with groups == 1 this degenerates to the plain im2col matmul.
-    cols_grouped = cols.reshape(n, groups, group_in * kh * kw, out_h * out_w)
+    cols_grouped = plan.im2col(x.data).reshape(n, groups, group_in * kh * kw, out_h * out_w)
     out = _forward_contract(weight_grouped, cols_grouped)
     out_data = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
@@ -240,37 +128,47 @@ def conv2d(
             bias._accumulate(grad.sum(axis=(0, 2)))
         grad_grouped = grad.reshape(n, groups, group_out, out_h * out_w)
         if weight.requires_grad:
-            grad_w = _grad_weight_contract(grad_grouped, cols_grouped, plan)
+            grad_w = plan.grad_weight(grad_grouped, cols_grouped)
             weight._accumulate(grad_w.reshape(weight.data.shape))
         if x.requires_grad:
-            if plan is not None and group_in == 1 and group_out == 1:
-                # Depthwise: fold the outer-product column gradient without
-                # materialising it (bit-identical, see ConvPlan.col2im_outer).
-                x._accumulate(
-                    plan.col2im_outer(
-                        weight_grouped.reshape(groups, kh * kw),
-                        grad_grouped.reshape(n, groups, out_h * out_w),
-                    )
-                )
-                return
-            grad_cols = _grad_cols_contract(weight_grouped, grad_grouped)
-            grad_cols_flat = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-            x._accumulate(
-                _fold(grad_cols_flat, (n, c, h, w), kernel, stride, padding, (out_h, out_w), plan)
-            )
+            x._accumulate(_grad_input(plan, weight_grouped, grad_grouped))
 
     parents = (x, weight) + ((bias,) if bias is not None else ())
     return Tensor._make(out_data, parents, backward)
+
+
+def _check_groups(in_channels: int, out_channels: int, groups: int) -> None:
+    """Reject a ``groups`` that cannot split both channel counts evenly."""
+    if groups < 1:
+        raise ValueError(f"groups must be >= 1, got {groups}")
+    if in_channels % groups or out_channels % groups:
+        raise ValueError(
+            f"in_channels ({in_channels}) and out_channels ({out_channels}) "
+            f"must be divisible by groups ({groups})"
+        )
+
+
+def _grad_input(
+    plan: ConvPlan, weight_grouped: np.ndarray, grad_grouped: np.ndarray
+) -> np.ndarray:
+    """Input gradient of a grouped conv: column gradient folded by ``plan``."""
+    n, groups, _, length = grad_grouped.shape
+    if weight_grouped.shape[1:] == (1, plan.kernel[0] * plan.kernel[1]):
+        # Depthwise: fold the outer-product column gradient without
+        # materialising it (bit-identical, see ConvPlan.col2im_outer).
+        return plan.col2im_outer(
+            weight_grouped.reshape(groups, -1), grad_grouped.reshape(n, groups, length)
+        )
+    grad_cols = _grad_cols_contract(weight_grouped, grad_grouped)
+    return plan.col2im(grad_cols.reshape(n, -1, length))
 
 
 def _conv2d_threaded(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
     groups: int,
-    kernel: Tuple[int, int],
+    plan: ConvPlan,
     weight_grouped: np.ndarray,
     spans: List[Tuple[int, int]],
 ) -> Tensor:
@@ -282,23 +180,20 @@ def _conv2d_threaded(
     ``REPRO_NUM_THREADS`` but rounds differently from the serial single
     contraction (see :mod:`repro.autograd.parallel`).
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
+    n = x.shape[0]
     out_channels = weight.shape[0]
-    group_in = c // groups
     group_out = out_channels // groups
+    out_h, out_w = plan.out_hw
     pool = get_pool(len(spans))
 
     def forward_chunk(span: Tuple[int, int]):
         start, stop = span
-        cols, out_hw, plan = _lower(x.data[start:stop], kernel, stride, padding)
-        cols_grouped = cols.reshape(
-            stop - start, groups, group_in * kh * kw, out_hw[0] * out_hw[1]
+        cols_grouped = plan.im2col(x.data[start:stop]).reshape(
+            stop - start, groups, weight_grouped.shape[2], out_h * out_w
         )
-        return _forward_contract(weight_grouped, cols_grouped), cols_grouped, plan, out_hw
+        return _forward_contract(weight_grouped, cols_grouped), cols_grouped
 
     chunk_results = list(pool.map(forward_chunk, spans))
-    out_h, out_w = chunk_results[0][3]
     out_data = np.concatenate([chunk[0] for chunk in chunk_results], axis=0).reshape(
         n, out_channels, out_h, out_w
     )
@@ -318,32 +213,10 @@ def _conv2d_threaded(
 
         def backward_chunk(index: int):
             start, stop = spans[index]
-            _, cols_grouped, plan, _ = chunk_results[index]
+            cols_grouped = chunk_results[index][1]
             chunk_grad = grad_grouped[start:stop]
-            grad_w = (
-                _grad_weight_contract(chunk_grad, cols_grouped, plan) if need_weight else None
-            )
-            grad_x = None
-            if need_input:
-                if plan is not None and c == groups and out_channels == groups:
-                    grad_x = plan.col2im_outer(
-                        weight_grouped.reshape(groups, kh * kw),
-                        chunk_grad.reshape(stop - start, groups, out_h * out_w),
-                    )
-                else:
-                    grad_cols = _grad_cols_contract(weight_grouped, chunk_grad)
-                    grad_cols_flat = grad_cols.reshape(
-                        stop - start, c * kh * kw, out_h * out_w
-                    )
-                    grad_x = _fold(
-                        grad_cols_flat,
-                        (stop - start, c, h, w),
-                        kernel,
-                        stride,
-                        padding,
-                        (out_h, out_w),
-                        plan,
-                    )
+            grad_w = plan.grad_weight(chunk_grad, cols_grouped) if need_weight else None
+            grad_x = _grad_input(plan, weight_grouped, chunk_grad) if need_input else None
             return grad_w, grad_x
 
         pieces = list(pool.map(backward_chunk, range(len(spans))))
@@ -374,8 +247,7 @@ class Conv2d(Module):
         rng: Optional[Union[int, np.random.Generator]] = None,
     ) -> None:
         super().__init__()
-        if in_channels % groups != 0 or out_channels % groups != 0:
-            raise ValueError("in_channels and out_channels must be divisible by groups")
+        _check_groups(in_channels, out_channels, groups)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = _pair(kernel_size)
@@ -556,12 +428,13 @@ class AvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
         x = as_tensor(x)
-        n, c, h, w = x.shape
+        if x.ndim != 4:
+            raise ValueError(f"AvgPool2d expects NCHW input, got shape {x.shape}")
+        n, c = x.shape[:2]
         k, s = self.kernel_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
-        cols, _, plan = _lower(x.data, (k, k), (s, s), (0, 0))
-        cols = cols.reshape(n, c, k * k, out_h * out_w)
+        plan = get_plan(x.shape, (k, k), (s, s), (0, 0))
+        out_h, out_w = plan.out_hw
+        cols = plan.im2col(x.data).reshape(n, c, k * k, out_h * out_w)
         out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
         compute_dtype = out_data.dtype
 
@@ -571,9 +444,7 @@ class AvgPool2d(Module):
             grad = np.asarray(grad, dtype=compute_dtype).reshape(n, c, 1, out_h * out_w)
             grad_cols = np.broadcast_to(grad / (k * k), (n, c, k * k, out_h * out_w))
             grad_cols = grad_cols.reshape(n, c * k * k, out_h * out_w)
-            x._accumulate(
-                _fold(grad_cols, (n, c, h, w), (k, k), (s, s), (0, 0), (out_h, out_w), plan)
-            )
+            x._accumulate(plan.col2im(grad_cols))
 
         return Tensor._make(out_data, (x,), backward)
 

@@ -1,11 +1,10 @@
 """Cached convolution index plans (the im2col/col2im raw-speed tier).
 
 Every convolution in the supernet lowers to im2col + GEMM; the backward pass
-folds the column gradient back with col2im.  The historical ``_col2im`` is a
-``kh x kw`` Python loop of strided adds — the profiled hot spot of supernet
-training (see ROADMAP, "raw-speed tier").  But search-space shapes are
+folds the column gradient back with col2im.  Search-space shapes are
 *static*: the same ``(input_shape, kernel, stride, padding)`` tuples recur on
-every training step, so the index arithmetic can be done once and cached.
+every training step, so the index arithmetic is done once and cached, and
+``repro.autograd.conv`` lowers every convolution through the cached plan.
 
 A :class:`ConvPlan` precomputes
 
@@ -14,7 +13,7 @@ A :class:`ConvPlan` precomputes
   ``take`` instead of a strided 6-D transpose copy.
 * ``scatter_index`` — the same map expanded over the channel axis, offset
   per channel.  col2im becomes one ``np.bincount`` scatter-add per sample
-  instead of the ``kh x kw`` Python loop.
+  instead of a ``kh x kw`` Python loop of strided adds.
 
 Two refinements close the backward hot path (ROADMAP "next rungs"):
 
@@ -35,17 +34,16 @@ Two refinements close the backward hot path (ROADMAP "next rungs"):
 
 Bit-identity: im2col is a pure reordering (no arithmetic), and the bincount
 scatter adds each output pixel's contributions in exactly the (i, j)
-ascending order of the historical loop (``np.bincount`` accumulates its
+ascending order of a strided-add loop (``np.bincount`` accumulates its
 weights sequentially, and within one kernel offset each pixel receives at
-most one contribution), so both paths are bit-for-bit identical to the
-stride-trick reference at any dtype — asserted by ``tests/test_conv_plans.py``
-and fenced by the golden-run suites.  The per-*sample* bincount partition is
-equally exact because every output bin only ever receives contributions from
-a single (sample, channel) pair.
+most one contribution), so the plans are bit-for-bit identical to the
+stride-trick/loop reference lowering at any dtype — asserted by
+``tests/test_conv_plans.py`` against ``tests/conv_reference.py`` and fenced
+by the golden-run suites.  The per-*sample* bincount partition is equally
+exact because every output bin only ever receives contributions from a
+single (sample, channel) pair.
 
-Plans are kept in a bounded LRU keyed on the shape tuple;
-:func:`set_plans_enabled` switches the whole tier off (the benchmark harness
-uses this to time the legacy path, and it doubles as a kill switch).
+Plans are kept in a bounded LRU keyed on the shape tuple.
 """
 
 from __future__ import annotations
@@ -63,23 +61,9 @@ from repro.autograd.precision import is_fast_dtype
 #: resolutions in one process) where old plans are evicted LRU-first.
 MAX_PLANS = 128
 
-_plans_enabled = True
 _lock = threading.Lock()
 _cache: "OrderedDict[Tuple, ConvPlan]" = OrderedDict()
 _stats = {"hits": 0, "misses": 0}
-
-
-def plans_enabled() -> bool:
-    """Whether convolution lowering routes through cached plans."""
-    return _plans_enabled
-
-
-def set_plans_enabled(enabled: bool) -> bool:
-    """Toggle the plan tier globally; returns the previous setting."""
-    global _plans_enabled
-    previous = _plans_enabled
-    _plans_enabled = bool(enabled)
-    return previous
 
 
 class ConvPlan:
@@ -208,9 +192,9 @@ class ConvPlan:
         so every add runs over contiguous channel runs instead of the short
         strided rows of the NCHW loop.
 
-        Bit-identity with the legacy ``einsum + _col2im`` pair: each product
-        is a single rounding, and each output pixel accumulates its taps in
-        the same ascending ``(i, j)`` order as the historical loop.
+        Bit-identity with materialising the product and folding it with
+        :meth:`col2im`: each product is a single rounding, and each output
+        pixel accumulates its taps in the same ascending ``(i, j)`` order.
         """
         n = grad.shape[0]
         c, h, w = self.input_shape[1:]
@@ -241,8 +225,7 @@ class ConvPlan:
 
         The plan tier owns the contraction so the weight gradient reuses the
         cached gather columns (for trivial plans, a *view* of the forward
-        input — no column tensor is ever re-materialised) and so the
-        ``plans_enabled`` kill switch covers the whole backward.
+        input — no column tensor is ever re-materialised).
 
         * **float64** — the legacy einsum verbatim.  Its accumulation order
           is the bit-identity contract fenced by the golden suites; probing

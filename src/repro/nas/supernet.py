@@ -69,11 +69,6 @@ def _fixed_conv(cfg: FixedLayerConfig, geometry: str, rng) -> Sequential:
 class MixedOp(Module):
     """All candidate operations of one searchable position, gated by weights."""
 
-    #: Collapse multi-candidate (soft-gate) forwards into fused einsums.
-    #: Hard one-hot gates never take the fused path, so searcher
-    #: trajectories are unaffected by this switch.
-    fuse_soft_gates: bool = True
-
     def __init__(
         self,
         layer_cfg: SearchableLayerConfig,
@@ -129,7 +124,7 @@ class MixedOp(Module):
             if not self.op_specs[index].is_zero
             and isinstance(self.candidates[index], MBConvOp)
         ]
-        if self.fuse_soft_gates and len(fusable) > 1:
+        if len(fusable) > 1:
             output: Optional[Tensor] = self._forward_fused(x, gates, fusable)
         else:
             output = None

@@ -1,35 +1,44 @@
 """Parity and cache tests for the cached convolution plans.
 
 The plan tier (gather im2col, bincount-scatter col2im, fused depthwise
-fold) must be *bit-identical* to the legacy stride-trick/loop lowering at
-float64 — that invariant is what lets the fast path ship without touching a
-single golden result.  These tests sweep the geometry grid the search space
-actually uses (kernel x stride x padding x groups, including the height-1
-sequence-task shapes) and assert exact equality of activations and every
-gradient; float32 runs the same graphs and is checked to tolerance.
+fold) must be *bit-identical* to the reference stride-trick/loop lowering
+(``conv_reference.py``) at float64 — that invariant is what lets the fast
+path ship without touching a single golden result.  These tests sweep the
+geometry grid the search space actually uses (kernel x stride x padding x
+groups, including the height-1 sequence-task shapes), plus random
+geometries drawn by hypothesis, and assert exact equality of activations and
+every gradient; float32 runs the same graphs and is checked to tolerance.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conv_reference import ReferencePlan, col2im, im2col, reference_lowering
 from repro.autograd import plans, use_dtype
-from repro.autograd.conv import AvgPool2d, _col2im, _im2col, conv2d
+from repro.autograd.conv import AvgPool2d, Conv2d, conv2d
 from repro.autograd.parallel import batch_spans, num_threads
-from repro.autograd.plans import clear_plan_cache, get_plan, plan_cache_info, set_plans_enabled
+from repro.autograd.plans import clear_plan_cache, get_plan, plan_cache_info
 from repro.autograd.tensor import Tensor
 from repro.nas.operations import MBConvOp, fused_mbconv_group
 
 
 @pytest.fixture(autouse=True)
-def _fresh_plan_state():
-    """Each test starts with an empty cache and the tier enabled."""
+def _fresh_plan_cache():
+    """Each test starts (and leaves) an empty plan cache."""
     clear_plan_cache()
-    previous = set_plans_enabled(True)
     yield
-    set_plans_enabled(previous)
     clear_plan_cache()
+
+
+def _lowering(reference: bool):
+    """The reference lowering, or the default plan route."""
+    return reference_lowering() if reference else contextlib.nullcontext()
 
 
 # Geometry grid: (input NCHW, kernel, stride, padding, groups).  Covers the
@@ -47,19 +56,16 @@ PARITY_GRID = [
 ]
 
 
-def _run_conv(x_data, w_data, stride, padding, groups, enabled, with_bias=True):
-    previous = set_plans_enabled(enabled)
-    try:
+def _run_conv(x_data, w_data, stride, padding, groups, reference, with_bias=True):
+    with _lowering(reference):
         x = Tensor(x_data, requires_grad=True)
         weight = Tensor(w_data, requires_grad=True)
         bias_data = np.linspace(-1.0, 1.0, w_data.shape[0])
         bias = Tensor(bias_data, requires_grad=True) if with_bias else None
         out = conv2d(x, weight, bias=bias, stride=stride, padding=padding, groups=groups)
         (out * out).sum().backward()
-        grads = (x.grad, weight.grad) + ((bias.grad,) if with_bias else ())
-        return (out.data,) + grads
-    finally:
-        set_plans_enabled(previous)
+    grads = (x.grad, weight.grad) + ((bias.grad,) if with_bias else ())
+    return (out.data,) + grads
 
 
 @pytest.mark.parametrize("shape,kernel,stride,padding,groups", PARITY_GRID)
@@ -69,8 +75,8 @@ def test_plan_path_bit_identical_to_legacy_float64(shape, kernel, stride, paddin
     cout = cin if groups == cin else 2 * groups
     x_data = rng.normal(size=shape)
     w_data = rng.normal(size=(cout, cin // groups, kernel[0], kernel[1]))
-    fast = _run_conv(x_data, w_data, stride, padding, groups, enabled=True)
-    legacy = _run_conv(x_data, w_data, stride, padding, groups, enabled=False)
+    fast = _run_conv(x_data, w_data, stride, padding, groups, reference=False)
+    legacy = _run_conv(x_data, w_data, stride, padding, groups, reference=True)
     for fast_arr, legacy_arr in zip(fast, legacy):
         assert np.array_equal(fast_arr, legacy_arr)
 
@@ -83,8 +89,8 @@ def test_plan_path_matches_legacy_float32_to_tolerance(shape, kernel, stride, pa
     x_data = rng.normal(size=shape)
     w_data = rng.normal(size=(cout, cin // groups, kernel[0], kernel[1]))
     with use_dtype("float32"):
-        fast = _run_conv(x_data, w_data, stride, padding, groups, enabled=True)
-        legacy = _run_conv(x_data, w_data, stride, padding, groups, enabled=False)
+        fast = _run_conv(x_data, w_data, stride, padding, groups, reference=False)
+        legacy = _run_conv(x_data, w_data, stride, padding, groups, reference=True)
     for fast_arr, legacy_arr in zip(fast, legacy):
         assert fast_arr.dtype == np.float32
         np.testing.assert_allclose(fast_arr, legacy_arr, rtol=1e-4, atol=1e-4)
@@ -95,7 +101,7 @@ def test_im2col_gather_bit_identical_to_stride_trick():
     for shape, kernel, stride, padding, _ in PARITY_GRID:
         x = rng.normal(size=shape)
         plan = get_plan(shape, kernel, stride, padding)
-        cols_ref, out_hw = _im2col(x, kernel, stride, padding)
+        cols_ref, out_hw = im2col(x, kernel, stride, padding)
         assert plan.out_hw == out_hw
         assert np.array_equal(plan.im2col(x), cols_ref)
 
@@ -106,7 +112,7 @@ def test_col2im_scatter_bit_identical_to_loop():
         plan = get_plan(shape, kernel, stride, padding)
         length = plan.out_hw[0] * plan.out_hw[1]
         cols = rng.normal(size=(shape[0], shape[1] * kernel[0] * kernel[1], length))
-        reference = _col2im(cols, shape, kernel, stride, padding, plan.out_hw)
+        reference = col2im(cols, shape, kernel, stride, padding, plan.out_hw)
         assert np.array_equal(plan.col2im(cols), reference)
 
 
@@ -165,61 +171,27 @@ class TestTrivialPlans:
         plan = get_plan(x.shape, (1, 1), (1, 1), (0, 0))
         cols = plan.im2col(x)
         assert cols.base is x  # contiguous input: a reshape view, no copy
-        cols_ref, _ = _im2col(x, (1, 1), (1, 1), (0, 0))
+        cols_ref, _ = im2col(x, (1, 1), (1, 1), (0, 0))
         assert np.array_equal(cols, cols_ref)
 
     def test_trivial_im2col_handles_non_contiguous_input(self):
         base = np.random.default_rng(15).normal(size=(2, 8, 8, 4))
         x = base.transpose(0, 3, 1, 2)  # non-contiguous NCHW view
         plan = get_plan(x.shape, (1, 1), (1, 1), (0, 0))
-        cols_ref, _ = _im2col(x, (1, 1), (1, 1), (0, 0))
+        cols_ref, _ = im2col(x, (1, 1), (1, 1), (0, 0))
         assert np.array_equal(plan.im2col(x), cols_ref)
 
     def test_trivial_col2im_is_the_inverse_reshape(self):
         rng = np.random.default_rng(16)
         plan = get_plan((3, 5, 6, 7), (1, 1), (1, 1), (0, 0))
         cols = rng.normal(size=(3, 5, 42))
-        reference = _col2im(cols, (3, 5, 6, 7), (1, 1), (1, 1), (0, 0), (6, 7))
+        reference = col2im(cols, (3, 5, 6, 7), (1, 1), (1, 1), (0, 0), (6, 7))
         assert np.array_equal(plan.col2im(cols), reference)
 
 
-class TestKillSwitch:
-    """``plans_enabled`` must disable every plan route, including mid-run."""
-
-    GEOMETRY = ((3, 6, 8, 8), (3, 3), (1, 1), (1, 1), 3)
-
-    def test_flip_between_forward_and_backward_bit_identical(self):
-        shape, kernel, stride, padding, groups = self.GEOMETRY
-        rng = np.random.default_rng(17)
-        cin = shape[1]
-        x_data = rng.normal(size=shape)
-        w_data = rng.normal(size=(2 * groups, cin // groups, kernel[0], kernel[1]))
-        legacy = _run_conv(x_data, w_data, stride, padding, groups, enabled=False)
-
-        set_plans_enabled(True)
-        x = Tensor(x_data, requires_grad=True)
-        weight = Tensor(w_data, requires_grad=True)
-        bias = Tensor(np.linspace(-1.0, 1.0, w_data.shape[0]), requires_grad=True)
-        out = conv2d(x, weight, bias=bias, stride=stride, padding=padding, groups=groups)
-        set_plans_enabled(False)  # flip mid-run: backward must not regress
-        (out * out).sum().backward()
-
-        for flipped, reference in zip((out.data, x.grad, weight.grad, bias.grad), legacy):
-            assert np.array_equal(flipped, reference)
-
-    def test_disabled_tier_never_builds_plans(self):
-        shape, kernel, stride, padding, groups = self.GEOMETRY
-        rng = np.random.default_rng(18)
-        x_data = rng.normal(size=shape)
-        w_data = rng.normal(size=(2 * groups, shape[1] // groups, kernel[0], kernel[1]))
-        _run_conv(x_data, w_data, stride, padding, groups, enabled=False)
-        assert plan_cache_info() == {"size": 0, "hits": 0, "misses": 0}
-
-
-def _fused_group_run(x_data, enabled):
-    """One fused two-candidate MBConv group forward+backward under a setting."""
-    previous = set_plans_enabled(enabled)
-    try:
+def _fused_group_run(x_data, reference):
+    """One fused two-candidate MBConv group forward+backward under a lowering."""
+    with _lowering(reference):
         modules = [
             MBConvOp(4, 4, kernel_size=3, expansion=3, stride=1, rng=21),
             MBConvOp(4, 4, kernel_size=5, expansion=3, stride=1, rng=22),
@@ -227,28 +199,26 @@ def _fused_group_run(x_data, enabled):
         x = Tensor(x_data, requires_grad=True)
         out = fused_mbconv_group(x, modules)
         (out * out).sum().backward()
-        grads = [x.grad]
-        for module in modules:
-            grads.extend(
-                [
-                    module.expand[0].weight.grad,
-                    module.depthwise[0].weight.grad,
-                    module.project[0].weight.grad,
-                    module.expand[1].weight.grad,
-                    module.project[1].bias.grad,
-                ]
-            )
-        buffers = [module.expand[1]._buffers["running_mean"] for module in modules]
-        return [out.data] + grads + buffers
-    finally:
-        set_plans_enabled(previous)
+    grads = [x.grad]
+    for module in modules:
+        grads.extend(
+            [
+                module.expand[0].weight.grad,
+                module.depthwise[0].weight.grad,
+                module.project[0].weight.grad,
+                module.expand[1].weight.grad,
+                module.project[1].bias.grad,
+            ]
+        )
+    buffers = [module.expand[1]._buffers["running_mean"] for module in modules]
+    return [out.data] + grads + buffers
 
 
 class TestFusedMixedOpPlans:
     def test_fused_group_plan_path_bit_identical_to_legacy(self):
         x_data = np.random.default_rng(19).normal(size=(2, 4, 8, 8))
-        fast = _fused_group_run(x_data, enabled=True)
-        legacy = _fused_group_run(x_data, enabled=False)
+        fast = _fused_group_run(x_data, reference=False)
+        legacy = _fused_group_run(x_data, reference=True)
         assert len(fast) == len(legacy)
         for fast_arr, legacy_arr in zip(fast, legacy):
             assert np.array_equal(fast_arr, legacy_arr)
@@ -278,14 +248,92 @@ def test_avgpool_plan_parity():
     pool = AvgPool2d(2)
     x_data = rng.normal(size=(2, 3, 8, 8))
     outputs = []
-    for enabled in (True, False):
-        set_plans_enabled(enabled)
-        x = Tensor(x_data, requires_grad=True)
-        out = pool(x)
-        out.sum().backward()
+    for reference in (False, True):
+        with _lowering(reference):
+            x = Tensor(x_data, requires_grad=True)
+            out = pool(x)
+            out.sum().backward()
         outputs.append((out.data, x.grad))
     for fast_arr, legacy_arr in zip(*outputs):
         assert np.array_equal(fast_arr, legacy_arr)
+
+
+def test_reference_lowering_bypasses_the_plan_cache():
+    """The oracle really replaces the plan route (else parity is vacuous)."""
+    shape, kernel, stride, padding, groups = PARITY_GRID[2]
+    rng = np.random.default_rng(18)
+    x_data = rng.normal(size=shape)
+    w_data = rng.normal(size=(2 * groups, shape[1] // groups, kernel[0], kernel[1]))
+    _run_conv(x_data, w_data, stride, padding, groups, reference=True)
+    with reference_lowering():
+        AvgPool2d(2)(Tensor(x_data, requires_grad=True)).sum().backward()
+    assert plan_cache_info() == {"size": 0, "hits": 0, "misses": 0}
+    _run_conv(x_data, w_data, stride, padding, groups, reference=False)
+    assert plan_cache_info()["misses"] == 1
+
+
+@st.composite
+def _conv_geometries(draw):
+    """(input NCHW, kernel, stride, padding, groups, out_channels).
+
+    One draw in four is a height-1 sequence shape with a ``(1, k)`` kernel,
+    the seq1d task geometry.
+    """
+    sequence = draw(st.integers(0, 3)) == 0
+    kernel = (1 if sequence else draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (0 if sequence else draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    channels = draw(st.integers(1, 8))
+    groups = draw(st.sampled_from([g for g in range(1, channels + 1) if channels % g == 0]))
+    out_channels = groups * draw(st.integers(1, 3))
+    height = 1 if sequence else draw(st.integers(1, 10))
+    shape = (draw(st.integers(1, 4)), channels, height, draw(st.integers(1, 12)))
+    return shape, kernel, stride, padding, groups, out_channels
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_conv_geometries(), seed=st.integers(0, 2**32 - 1))
+def test_plan_path_matches_reference_on_random_geometries(geometry, seed):
+    shape, kernel, stride, padding, groups, out_channels = geometry
+    rng = np.random.default_rng(seed)
+    x_data = rng.normal(size=shape)
+    w_data = rng.normal(size=(out_channels, shape[1] // groups) + kernel)
+    empty = any(size + 2 * pad < k for size, pad, k in zip(shape[2:], padding, kernel))
+    if empty:
+        for make_plan in (get_plan, ReferencePlan):
+            with pytest.raises(ValueError, match="empty"):
+                make_plan(shape, kernel, stride, padding)
+        with pytest.raises(ValueError, match="empty"):
+            _run_conv(x_data, w_data, stride, padding, groups, reference=False)
+        return
+    fast = _run_conv(x_data, w_data, stride, padding, groups, reference=False)
+    legacy = _run_conv(x_data, w_data, stride, padding, groups, reference=True)
+    for fast_arr, legacy_arr in zip(fast, legacy):
+        assert fast_arr.dtype == legacy_arr.dtype == np.float64
+        assert np.array_equal(fast_arr, legacy_arr)
+
+
+class TestInputErrors:
+    def test_out_channels_must_divide_by_groups(self):
+        x = Tensor(np.zeros((1, 2, 5, 5)))
+        weight = Tensor(np.zeros((5, 1, 3, 3)))
+        with pytest.raises(ValueError, match=r"out_channels \(5\).*groups \(2\)"):
+            conv2d(x, weight, groups=2)
+        with pytest.raises(ValueError, match="divisible by groups"):
+            Conv2d(2, 5, 3, groups=2)
+
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_groups_must_be_positive(self, groups):
+        x = Tensor(np.zeros((1, 2, 5, 5)))
+        weight = Tensor(np.zeros((4, 1, 3, 3)))
+        with pytest.raises(ValueError, match="groups must be >= 1"):
+            conv2d(x, weight, groups=groups)
+        with pytest.raises(ValueError, match="groups must be >= 1"):
+            Conv2d(2, 4, 3, groups=groups)
+
+    def test_avgpool_rejects_non_nchw_input(self):
+        with pytest.raises(ValueError, match="AvgPool2d expects NCHW input"):
+            AvgPool2d(2)(Tensor(np.zeros((2, 8, 8))))
 
 
 class TestPlanCache:
@@ -312,10 +360,6 @@ class TestPlanCache:
     def test_empty_output_geometry_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             get_plan((1, 1, 2, 2), (5, 5), (1, 1), (0, 0))
-
-    def test_disable_toggle_returns_previous_state(self):
-        assert set_plans_enabled(False) is True
-        assert set_plans_enabled(True) is False
 
 
 class TestThreadedBatch:

@@ -1,4 +1,4 @@
-"""The documentation must stay navigable: links resolve, snippets parse.
+"""The documentation must stay navigable: links resolve, snippets parse and import.
 
 Runs the same checks as ``tools/check_docs.py`` (which CI invokes
 standalone), so a broken docs link fails the tier-1 suite locally too.
@@ -70,3 +70,29 @@ def test_checker_detects_bad_snippet(tmp_path):
     (tmp_path / "docs").mkdir()
     problems = check_docs.run_checks(tmp_path)
     assert len(problems) == 1 and "does not parse" in problems[0]
+
+
+def test_all_repro_imports_in_snippets_resolve():
+    problems = []
+    for path in check_docs.doc_files(REPO_ROOT):
+        problems.extend(check_docs.check_imports(path))
+    assert not problems, "\n".join(problems)
+
+
+def test_checker_detects_stale_import(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "```python\n"
+        "from repro.autograd import (\n"
+        "    plan_cache_info,\n"
+        "    set_plans_enabled,\n"
+        ")\n"
+        "from repro.autograd import functional, use_dtype\n"
+        "from repro.no_such_module import anything\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "docs").mkdir()
+    problems = check_docs.run_checks(tmp_path)
+    assert len(problems) == 2, problems
+    assert "'set_plans_enabled' from 'repro.autograd'" in problems[0]
+    assert "repro.no_such_module" in problems[1]

@@ -10,6 +10,7 @@ reporting CLI.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conv_reference import per_candidate_loop
 from repro.autograd import Tensor
 from repro.autograd.functional import softmax
 from repro.data import DataLoader, make_detection_dataset, make_sequence_dataset
@@ -294,6 +296,11 @@ class TestNewTaskRuns:
 # ----------------------------------------------------------------------
 # Fused mixed-op forward (soft gates)
 # ----------------------------------------------------------------------
+def _mixed_op_forward(fused: bool):
+    """The default fused soft-gate forward, or the per-candidate loop oracle."""
+    return contextlib.nullcontext() if fused else per_candidate_loop()
+
+
 class TestFusedMixedOp:
     @pytest.mark.parametrize("flavour", ["cifar", "seq1d"])
     def test_fused_path_matches_loop(self, flavour):
@@ -308,12 +315,11 @@ class TestFusedMixedOp:
         x = np.random.default_rng(2).normal(size=shape)
 
         def run(fused: bool):
-            for mixed in net.mixed_ops:
-                mixed.fuse_soft_gates = fused
             net.zero_grad()
             params.zero_grad()
-            out = net(Tensor(x), softmax(params.alpha, axis=-1))
-            (out * out).mean().backward()
+            with _mixed_op_forward(fused):
+                out = net(Tensor(x), softmax(params.alpha, axis=-1))
+                (out * out).mean().backward()
             grads = {
                 name: None if p.grad is None else p.grad.copy()
                 for name, p in net.named_parameters()
@@ -331,15 +337,15 @@ class TestFusedMixedOp:
                 assert np.allclose(grad, fused_grads[name], atol=1e-8), name
 
     def test_soft_gates_take_fused_path_by_default(self):
-        # Guards the default wiring: losing `fuse_soft_gates = True` would be
-        # invisible to the parity tests (which set the flag explicitly) and
-        # to the perf gate (the fused win is BLAS-parallelism-bound).
+        # Guards the default wiring: losing the fused dispatch would be
+        # invisible to the parity tests (which compare the fused forward
+        # with the loop oracle) and to the perf gate (the fused win is
+        # BLAS-parallelism-bound).
         space = build_cifar_search_space(num_searchable=3, trainable_base_channels=4)
         net = SuperNet(space, rng=0)
         params = ArchitectureParameters(space, rng=1)
         calls = []
         for mixed in net.mixed_ops:
-            assert mixed.fuse_soft_gates
             original = mixed._forward_fused
             mixed._forward_fused = (
                 lambda *args, _original=original, **kwargs: calls.append(1)
@@ -369,9 +375,8 @@ class TestFusedMixedOp:
         for fused in (False, True):
             net = SuperNet(space, rng=0)
             params = ArchitectureParameters(space, rng=1)
-            for mixed in net.mixed_ops:
-                mixed.fuse_soft_gates = fused
-            net(Tensor(x), softmax(params.alpha, axis=-1))
+            with _mixed_op_forward(fused):
+                net(Tensor(x), softmax(params.alpha, axis=-1))
             stats[fused] = {name: buf.copy() for name, buf in net.named_buffers()}
         for name, buffer in stats[False].items():
             assert np.allclose(buffer, stats[True][name], atol=1e-10), name

@@ -8,11 +8,8 @@ check where an autograd change moved the bottleneck::
 
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
 
-``--float32`` profiles the opt-in precision policy, ``--no-plans`` the
-legacy im2col/col2im lowering (both documented in docs/performance.md), and
-``--no-fused`` the per-candidate mixed-op loop instead of the batched
-einsum, so the relative cost of each tier can be read off directly.
-``--backward-only`` builds each step's forward graph outside the profiler
+``--float32`` profiles the opt-in precision policy (documented in
+docs/performance.md).  ``--backward-only`` builds each step's forward graph outside the profiler
 and profiles just ``backward()`` + the optimiser steps — the view that
 isolates the weight-gradient contraction and the col2im folds.
 """
@@ -31,7 +28,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.autograd import Adam, SGD, set_plans_enabled, use_dtype  # noqa: E402
+from repro.autograd import Adam, SGD, use_dtype  # noqa: E402
 from repro.autograd.functional import softmax  # noqa: E402
 from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.nas import ArchitectureParameters, SuperNet, build_cifar_search_space  # noqa: E402
@@ -46,16 +43,6 @@ def main() -> int:
     )
     parser.add_argument(
         "--float32", action="store_true", help="profile under the float32 precision policy"
-    )
-    parser.add_argument(
-        "--no-plans",
-        action="store_true",
-        help="disable cached convolution plans (legacy lowering)",
-    )
-    parser.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="per-candidate mixed-op loop instead of the fused batched einsum",
     )
     parser.add_argument(
         "--backward-only",
@@ -75,58 +62,50 @@ def main() -> int:
     args = parser.parse_args()
 
     dtype_scope = use_dtype("float32") if args.float32 else contextlib.nullcontext()
-    previous_plans = set_plans_enabled(not args.no_plans)
-    try:
-        with dtype_scope:
-            space = build_cifar_search_space(trainable_base_channels=args.channels)
-            supernet = SuperNet(space, rng=0)
-            arch_params = ArchitectureParameters(space, rng=1)
-            for mixed in supernet.mixed_ops:
-                mixed.fuse_soft_gates = not args.no_fused
-            weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
-            arch_opt = Adam([arch_params.alpha], lr=0.001)
-            images = np.random.default_rng(0).normal(size=(args.batch, 3, 8, 8))
+    with dtype_scope:
+        space = build_cifar_search_space(trainable_base_channels=args.channels)
+        supernet = SuperNet(space, rng=0)
+        arch_params = ArchitectureParameters(space, rng=1)
+        weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
+        arch_opt = Adam([arch_params.alpha], lr=0.001)
+        images = np.random.default_rng(0).normal(size=(args.batch, 3, 8, 8))
 
-            def forward():
-                supernet.zero_grad()
-                arch_params.zero_grad()
-                logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
-                return (logits * logits).mean()
+        def forward():
+            supernet.zero_grad()
+            arch_params.zero_grad()
+            logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
+            return (logits * logits).mean()
 
-            def optimise() -> None:
-                weight_opt.step()
-                arch_opt.step()
+        def optimise() -> None:
+            weight_opt.step()
+            arch_opt.step()
 
-            def step() -> None:
-                forward().backward()
-                optimise()
+        def step() -> None:
+            forward().backward()
+            optimise()
 
-            step()  # warm caches (conv plans, BLAS) outside the profile
+        step()  # warm caches (conv plans, BLAS) outside the profile
 
-            profiler = cProfile.Profile()
-            if args.backward_only:
-                # Build each forward graph un-profiled; profile only the
-                # backward walk and the optimiser updates.
-                for _ in range(args.steps):
-                    loss = forward()
-                    profiler.enable()
-                    loss.backward()
-                    optimise()
-                    profiler.disable()
-            else:
+        profiler = cProfile.Profile()
+        if args.backward_only:
+            # Build each forward graph un-profiled; profile only the
+            # backward walk and the optimiser updates.
+            for _ in range(args.steps):
+                loss = forward()
                 profiler.enable()
-                for _ in range(args.steps):
-                    step()
+                loss.backward()
+                optimise()
                 profiler.disable()
-    finally:
-        set_plans_enabled(previous_plans)
+        else:
+            profiler.enable()
+            for _ in range(args.steps):
+                step()
+            profiler.disable()
 
     stats = pstats.Stats(profiler)
     print(
         f"profiled {args.steps} supernet step(s): batch={args.batch}, "
-        f"channels={args.channels}, dtype={'float32' if args.float32 else 'float64'}, "
-        f"plans={'off' if args.no_plans else 'on'}, "
-        f"fused={'off' if args.no_fused else 'on'}"
+        f"channels={args.channels}, dtype={'float32' if args.float32 else 'float64'}"
         + (", backward-only" if args.backward_only else "")
     )
     stats.sort_stats(args.sort).print_stats(args.limit)
