@@ -47,7 +47,7 @@ def print_section(title: str) -> None:
 
 
 def legacy_build_cost_table(nas_space, hw_space, cost_model):
-    """Nested-loop cost-table construction, as the seed's LayerCostTable did it.
+    """Nested-loop cost-table construction, as the seed's cost table did it.
 
     Returns ``(fixed_latency, fixed_energy, op_latency, op_energy, area)``
     numpy arrays (bit-identical to the vectorised CostTable's tensors).
@@ -112,7 +112,7 @@ def legacy_generate_evaluator_dataset(nas_space, hw_space, num_samples, table, r
     """Sample-at-a-time dataset generation, as the seed implemented it."""
     import numpy as np
 
-    from repro.evaluator.encoding import HW_FIELD_ORDER, EvaluatorEncoding
+    from repro.evaluator.encoding import EvaluatorEncoding
     from repro.hwmodel import edap_cost
     from repro.utils.seeding import as_rng
 
@@ -120,7 +120,7 @@ def legacy_generate_evaluator_dataset(nas_space, hw_space, num_samples, table, r
     encoding = EvaluatorEncoding(nas_space=nas_space, hw_space=hw_space)
     arch_encodings = np.zeros((num_samples, encoding.arch_width))
     hw_encodings = np.zeros((num_samples, encoding.hw_width))
-    hw_labels = {field: np.zeros(num_samples, dtype=np.int64) for field in HW_FIELD_ORDER}
+    hw_labels = {field: np.zeros(num_samples, dtype=np.int64) for field in encoding.hw_field_order}
     metric_targets = np.zeros((num_samples, encoding.num_metrics))
     for sample_index in range(num_samples):
         op_indices = nas_space.random_architecture(rng=generator)

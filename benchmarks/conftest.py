@@ -23,8 +23,8 @@ import pytest
 
 from repro.core import ClassifierTrainingConfig
 from repro.data import make_cifar_like, train_val_split
-from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
-from repro.hwmodel import HardwareSearchSpace, tiny_search_space
+from repro.evaluator import Evaluator, generate_evaluator_dataset, train_evaluator
+from repro.hwmodel import CostTable, HardwareSearchSpace, tiny_search_space
 from repro.nas import build_cifar_search_space
 from repro.utils.seeding import seed_everything
 
@@ -101,7 +101,7 @@ def hw_space():
 
 @pytest.fixture(scope="session")
 def cifar_cost_table(cifar_nas_space, hw_space):
-    return LayerCostTable(cifar_nas_space, hw_space)
+    return CostTable(cifar_nas_space, hw_space)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ import pytest
 
 from repro.evaluator import (
     Evaluator,
-    HW_FIELD_ORDER,
     METRIC_ORDER,
     train_cost_estimation_network,
     train_evaluator,
@@ -72,12 +71,13 @@ def no_ff_accuracies(cifar_evaluator_data, budget):
 
 def test_table1_hardware_generation_accuracy(evaluator_result):
     """All four hardware-generation heads reach high accuracy (paper: ~99%)."""
-    _, result = evaluator_result
+    evaluator, result = evaluator_result
     accuracies = result.hw_generation_history.accuracies
+    field_order = evaluator.encoding.hw_field_order
     print_section("Table 1 — Hardware generation network (reproduced vs paper)")
-    for field in HW_FIELD_ORDER:
+    for field in field_order:
         report(f"  {field:<10} reproduced={accuracies[field]*100:5.1f}%   paper={PAPER_TABLE1['hardware_generation'][field]*100:5.1f}%")
-    assert all(accuracies[field] > 0.85 for field in HW_FIELD_ORDER)
+    assert all(accuracies[field] > 0.85 for field in field_order)
 
 
 def test_table1_cost_estimation_accuracy_and_feature_forwarding(evaluator_result, no_ff_accuracies):

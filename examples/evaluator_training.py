@@ -27,7 +27,6 @@ import argparse
 import time
 
 from repro.evaluator import (
-    HW_FIELD_ORDER,
     METRIC_ORDER,
     generate_evaluator_dataset,
     train_cost_estimation_network,
@@ -108,7 +107,7 @@ def main() -> None:
 
     print("\n[3/3] Table-1 style summary (validation accuracy)")
     print("    Hardware generation network:")
-    for field in HW_FIELD_ORDER:
+    for field in dataset.encoding.hw_field_order:
         print(f"        {field:<10} {result.hw_generation_history.accuracies[field] * 100:6.2f}%")
     print("    Cost estimation network:")
     for metric in METRIC_ORDER:

@@ -374,14 +374,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             refresh=args.refresh,
             filters=filters,
         )
-        if args.format == "json":
-            from repro import api
+        from repro import api
 
+        document_options = dict(browse_options)
+        document_options["root"] = args.workdir or runner.base_dir
+        if args.format == "json":
             # One repro.api document per surface, rendered through the
             # shared strict encoder — byte-identical to the corresponding
             # `serve` endpoint body on the same runs directory.
-            document_options = dict(browse_options)
-            document_options["root"] = args.workdir or runner.base_dir
             if args.summary:
                 print(api.summary_document(**document_options).render())
             elif args.pareto:
@@ -389,7 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(api.report_document(**document_options).render())
         elif args.summary:
-            print(runner.format_progress(runner.progress_data(**browse_options)))
+            print(runner.format_progress(api.summary_document(**document_options).to_dict()))
         else:
             print(runner.report(include_pareto=args.pareto, **browse_options))
         return 0

@@ -16,8 +16,8 @@ stability contract.  This facade defines the contract:
 * builder functions (:func:`report_document`, :func:`pareto_document`,
   :func:`summary_document`, :func:`run_document`, :func:`cost_document`,
   :func:`submit_job`) are the single implementation both the CLI and the
-  server call — ``Runner.report_data``/``pareto_data``/``progress_data``
-  survive only as thin deprecation aliases.
+  server call; ``Runner.report`` and ``report --summary`` render text from
+  the same builders.
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`

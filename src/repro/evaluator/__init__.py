@@ -14,8 +14,8 @@ differentiable function of the architecture parameters:
 """
 
 from repro.evaluator.cost_estimation_net import CostEstimationNetwork
-from repro.evaluator.dataset import EvaluatorDataset, LayerCostTable, generate_evaluator_dataset
-from repro.evaluator.encoding import HW_FIELD_ORDER, METRIC_ORDER, EvaluatorEncoding
+from repro.evaluator.dataset import EvaluatorDataset, generate_evaluator_dataset
+from repro.evaluator.encoding import METRIC_ORDER, EvaluatorEncoding
 from repro.evaluator.evaluator import Evaluator
 from repro.evaluator.hw_generation_net import HardwareGenerationNetwork
 from repro.evaluator.training import (
@@ -29,9 +29,7 @@ from repro.evaluator.training import (
 __all__ = [
     "CostEstimationNetwork",
     "EvaluatorDataset",
-    "LayerCostTable",
     "generate_evaluator_dataset",
-    "HW_FIELD_ORDER",
     "METRIC_ORDER",
     "EvaluatorEncoding",
     "Evaluator",

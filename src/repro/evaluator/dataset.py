@@ -31,12 +31,6 @@ logger = get_logger("evaluator.dataset")
 
 CostFunction = Callable[[HardwareMetrics], float]
 
-#: Backwards-compatible name: the table now lives in the hardware-model
-#: package (it is a property of the oracle, not of the evaluator), but the
-#: historical import path keeps working.
-LayerCostTable = CostTable
-
-
 @dataclass
 class EvaluatorDataset:
     """Supervised training data for the evaluator networks.

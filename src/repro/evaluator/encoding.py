@@ -22,11 +22,6 @@ from repro.hwmodel.accelerator import HardwareSearchSpace
 from repro.hwmodel.backends.base import SearchSpaceBase
 from repro.nas.search_space import NASSearchSpace
 
-#: Hardware field order of the default ``eyeriss`` backend (kept for
-#: backwards compatibility; backend-generic code reads the order from
-#: :attr:`EvaluatorEncoding.hw_field_order` instead).
-HW_FIELD_ORDER: Tuple[str, ...] = ("pe_x", "pe_y", "rf_size", "dataflow")
-
 #: Order of the regressed cost metrics.
 METRIC_ORDER: Tuple[str, ...] = ("latency_ms", "energy_mj", "area_mm2")
 

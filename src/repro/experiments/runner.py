@@ -37,13 +37,6 @@ CHECKPOINT_FILE = "checkpoint.json"
 RESULT_FILE = "result.json"
 
 
-def _json_safe(value: Any) -> Any:
-    """Deprecated alias of :func:`repro.utils.serialization.json_safe`."""
-    from repro.utils.serialization import json_safe
-
-    return json_safe(value)
-
-
 class Runner:
     """Executes experiments described by :class:`ExperimentConfig` objects."""
 
@@ -361,28 +354,6 @@ class Runner:
     # ------------------------------------------------------------------
     # Pareto view (error vs EDAP, Figure-5 style)
     # ------------------------------------------------------------------
-    def pareto_data(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        named_results: Optional[Sequence[Tuple[str, SearchResult]]] = None,
-        use_cache: bool = True,
-        refresh: bool = False,
-    ) -> List[Dict[str, Any]]:
-        """Deprecated alias: the records now come from :mod:`repro.api`.
-
-        ``named_results`` lets a caller that already collected the run
-        results reuse them instead of re-scanning; without it the records
-        come from :func:`repro.api.pareto_document` over the incremental
-        browser (no ``result.json`` is opened on a warm cache).
-        """
-        from repro import api
-
-        if named_results is not None:
-            return api.pareto_records(named_results)
-        return api.pareto_document(
-            self.base_dir if root is None else root, use_cache=use_cache, refresh=refresh
-        ).records
-
     def format_pareto(self, records: Sequence[Dict[str, Any]]) -> str:
         """Render the Pareto records as a Figure-5 style text table."""
         title = "Error-vs-EDAP Pareto front (Figure 5 style)"
@@ -435,6 +406,7 @@ class Runner:
         :meth:`browse`).  On a cold cache the output is byte-identical to
         the pre-browser full rescan.
         """
+        from repro import api
         from repro.experiments.browser import results_view, status_view
         from repro.experiments.sweep import DEFAULT_LOCK_TTL, format_sweep_status
 
@@ -449,62 +421,18 @@ class Runner:
             [result for _, result in named], title=f"Results under {root}"
         )
         if include_pareto:
-            report += "\n\n" + self.format_pareto(self.pareto_data(named_results=named))
+            report += "\n\n" + self.format_pareto(api.pareto_records(named))
         if include_status:
             status = status_view(summaries, root, ttl)
             if any(entry["state"] != "finished" for entry in status.values()):
                 report += "\n\n" + format_sweep_status(status)
         return report
 
-    def report_data(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        lock_ttl: Optional[float] = None,
-        use_cache: bool = True,
-        refresh: bool = False,
-        filters: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """Deprecated alias of :func:`repro.api.report_document` (as a dict).
-
-        The JSON-safe dict behind ``python -m repro report --format json``:
-        every saved result, the work-queue state of every run directory,
-        the Pareto records and a per-state summary — see the facade for
-        the full shape contract (``schema_version`` policy included).
-        """
-        from repro import api
-
-        return api.report_document(
-            self.base_dir if root is None else root,
-            lock_ttl=lock_ttl,
-            use_cache=use_cache,
-            refresh=refresh,
-            filters=filters,
-        ).to_dict()
-
     # ------------------------------------------------------------------
     # Sweep-progress summary (report --summary)
     # ------------------------------------------------------------------
-    def progress_data(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        lock_ttl: Optional[float] = None,
-        use_cache: bool = True,
-        refresh: bool = False,
-        filters: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """Deprecated alias of :func:`repro.api.summary_document` (as a dict)."""
-        from repro import api
-
-        return api.summary_document(
-            self.base_dir if root is None else root,
-            lock_ttl=lock_ttl,
-            use_cache=use_cache,
-            refresh=refresh,
-            filters=filters,
-        ).to_dict()
-
     def format_progress(self, progress: Dict[str, Any]) -> str:
-        """Render :meth:`progress_data` as the ``report --summary`` table."""
+        """Render a :func:`repro.api.summary_document` dict as the ``report --summary`` table."""
         lines = [f"Sweep progress under {progress['root']}"]
         if not progress["runs"]:
             lines.append("(no runs found)")

@@ -1,12 +1,13 @@
 """The do-nothing scheduler: every candidate runs to completion.
 
-``GridScheduler`` is today's sweep behaviour extracted into the scheduler
+``GridScheduler`` is the plain sweep behaviour expressed in the scheduler
 protocol so ``--scheduler grid`` is an explicit choice rather than an
 absence.  Its ladder is one final rung (budget ``None``, quota 0) and it
 never emits a decision, so :func:`~repro.experiments.sweep.run_sweep`
-routes grid sweeps through the original drain loop untouched — the output
-stays byte-identical to a scheduler-less sweep, no schedule state file is
-created, and no checkpoint pauses are introduced.
+drains grid sweeps from the same static plan as a scheduler-less sweep
+(every unfinished run, to completion) — the output stays byte-identical,
+no schedule state file is created, and no checkpoint pauses are
+introduced.
 """
 
 from __future__ import annotations

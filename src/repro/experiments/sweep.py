@@ -17,6 +17,9 @@ here:
   the lock's mtime is older than ``lock_ttl`` seconds any other worker
   breaks it and re-claims the item, resuming from the last checkpoint;
 * :func:`run_sweep` / :class:`ParallelRunner` — drive workers over a plan.
+  Every worker runs one claim loop, whether its plan is static (grid
+  sweeps, ``sweep --queue``, :func:`execute_queued`) or comes rung by rung
+  from a halving/ASHA schedule (:mod:`repro.experiments.schedulers`).
   Every run is rebuilt deterministically from its config (fixed per-stage
   seed offsets, see :mod:`repro.experiments.factory`), so the results are
   bit-identical to the serial path no matter how many workers execute the
@@ -37,10 +40,15 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.results import SearchResult
+from repro.experiments.browser.run_summary import _checkpoint_head
 from repro.experiments.config import METHODS, ExperimentConfig
 from repro.experiments.runner import CHECKPOINT_FILE, CONFIG_FILE, RESULT_FILE, Runner
 from repro.experiments.schedulers.base import SweepScheduler
-from repro.experiments.schedulers.coordinator import Assignment, ScheduleCoordinator
+from repro.experiments.schedulers.coordinator import (
+    Assignment,
+    ScheduleCoordinator,
+    SchedulePlan,
+)
 from repro.experiments.schedulers.state import RETIRED_FILE
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_json
@@ -230,13 +238,6 @@ class WorkQueue:
         return (self.workdir(name) / RESULT_FILE).exists()
 
     # -- claiming -------------------------------------------------------
-    def claim(self, skip: Sequence[str] = ()) -> Optional[str]:
-        """The next claimable item name, or ``None`` when nothing is left."""
-        for name in self.names:
-            if name not in skip and self.try_claim(name):
-                return name
-        return None
-
     def try_claim(self, name: str) -> bool:
         """Attempt to claim one item; ``True`` if this worker now owns it."""
         if self.is_done(name):
@@ -432,126 +433,105 @@ def _poll_interval(lock_ttl: float) -> float:
     return max(0.1, min(5.0, lock_ttl / 4))
 
 
-def _drain_claims(
-    queue: WorkQueue, names: Sequence[str], run_one: Callable[[str, Path], None]
-) -> None:
-    """The worker loop shared by sweeps and queued benchmark execution.
+def _static_plan(queue: WorkQueue) -> SchedulePlan:
+    """The plan of an unscheduled drain: every unfinished item, run to completion."""
+    return SchedulePlan(
+        assignments=[Assignment(name, 0, None) for name in queue.names if not queue.is_done(name)]
+    )
 
-    Claim → clear stale ``*.tmp`` debris of killed writers → ``run_one(name,
-    workdir)``, until every item is finished or was attempted by this worker.
-    When the remaining items are locked by another worker, wait rather than
-    exit: a live owner will finish them, a dead owner's lock expires after
-    ``lock_ttl`` and this worker takes the item over.  ``run_one`` owns the
-    lock lifecycle of its item (it must end in ``complete`` or ``release``).
+
+def _drain(
+    queue: WorkQueue,
+    next_plan: Callable[[], SchedulePlan],
+    run_one: Callable[[Assignment, Path], None],
+) -> None:
+    """The one worker loop behind grid, scheduled and queued execution.
+
+    Each pass asks ``next_plan()`` for the runnable assignments (a static
+    plan for grid sweeps and :func:`execute_queued`, a
+    :meth:`~repro.experiments.schedulers.coordinator.ScheduleCoordinator.sync`
+    for halving/ASHA), claims the first one of this queue's items that this
+    worker has not attempted at that rung yet, clears the stale ``*.tmp``
+    debris of killed writers and calls ``run_one(assignment, workdir)``,
+    which owns the lock lifecycle (it must end in ``complete`` or
+    ``release``).  A worker never retries its own attempt: a deterministic
+    error would loop forever.
+
+    The loop returns once the plan is terminal, or once nothing is left to
+    claim here and no remaining assignment holds a *live* lock.  A live
+    owner may still finish (or, for a schedule, score) its candidate, so the
+    worker waits for it; an expired lock counts as absent, so a dead peer
+    cannot stall the drain.  Failed candidates left this way surface as
+    ``unfinished`` in the sweep outcome, and a re-launch retries them.
     """
-    attempted: List[str] = []
+    attempted: set = set()  # (name, rung) pairs this worker will not retry
+    own = set(queue.names)
     poll_interval = _poll_interval(queue.lock_ttl)
     while True:
-        name = queue.claim(skip=attempted)
-        if name is None:
-            if all(queue.is_done(other) or other in attempted for other in names):
+        plan = next_plan()
+        if plan.all_terminal:
+            return
+        claimable = [
+            assignment
+            for assignment in plan.assignments
+            if assignment.name in own and (assignment.name, assignment.rung) not in attempted
+        ]
+        claimed = next((a for a in claimable if queue.try_claim(a.name)), None)
+        if claimed is None:
+            if not claimable and not any(
+                item_state(queue.workdir(assignment.name), queue.lock_ttl) == "running"
+                for assignment in plan.assignments
+            ):
+                logger.warning(
+                    "worker %d: leaving %d unfinished candidates under %s",
+                    os.getpid(),
+                    len(plan.assignments) + len(plan.waiting),
+                    queue.base_dir,
+                )
                 return
             time.sleep(poll_interval)
             continue
-        attempted.append(name)
-        workdir = queue.workdir(name)
+        attempted.add((claimed.name, claimed.rung))
+        workdir = queue.workdir(claimed.name)
         for stale_tmp in workdir.glob("*.tmp"):
             stale_tmp.unlink(missing_ok=True)
-        run_one(name, workdir)
+        run_one(claimed, workdir)
 
 
-def _drain_queue(base_dir: str, items: Sequence[WorkItem], lock_ttl: float) -> None:
-    """One sweep worker: claim and execute runs until the plan is drained.
-
-    Failures are recorded (``FAILED.txt`` with the traceback) and the item's
-    lock is released, so other workers — or a later re-launch — can retry;
-    this worker does not retry its own failures (a deterministic error would
-    loop forever).  Via :func:`_drain_claims`, the worker waits out items
-    locked by other (possibly dead) workers, so a sweep invocation returns
-    only once its whole plan is finished or failed.
-    """
-    runner = Runner(base_dir=base_dir)
-    queue = WorkQueue(base_dir, [item.name for item in items], lock_ttl=lock_ttl)
-    configs = {item.name: item.config for item in items}
-
-    def run_one(name: str, workdir: Path) -> None:
-        failed_marker = workdir / FAILED_FILE
-        try:
-            logger.info("worker %d: claimed %s", os.getpid(), name)
-            result = runner.run(
-                configs[name],
-                workdir=workdir,
-                resume=True,
-                on_step=lambda step, _name=name: queue.heartbeat(_name),
-            )
-            assert result is not None  # run() only pauses when max_steps is set
-            failed_marker.unlink(missing_ok=True)
-            queue.complete(name)
-        except Exception as error:  # queue must survive any run failure
-            failed_marker.write_text(traceback.format_exc(), encoding="utf-8")
-            queue.release(name)
-            logger.error("worker %d: %s failed: %s", os.getpid(), name, error)
-
-    _drain_claims(queue, [item.name for item in items], run_one)
-
-
-def _sweep_worker(base_dir: str, config_dicts: List[Dict[str, Any]], lock_ttl: float) -> None:
-    """Multiprocessing entry point (arguments must be picklable)."""
-    items = [WorkItem(ExperimentConfig.from_dict(data)) for data in config_dicts]
-    _drain_queue(base_dir, items, lock_ttl)
-
-
-def _checkpoint_steps(workdir: Path) -> int:
-    """Steps completed per the run's checkpoint head (0 when there is none).
-
-    Reads only the first bytes: ``steps_completed`` leads the checkpoint
-    payload precisely so progress queries never parse the (large) searcher
-    state (same trick as the results browser).
-    """
-    try:
-        with (workdir / CHECKPOINT_FILE).open("rb") as handle:
-            head = handle.read(256)
-    except OSError:
-        return 0
-    match = re.search(rb'"steps_completed":\s*(\d+)', head)
-    return int(match.group(1)) if match else 0
-
-
-def _drain_scheduled(
+def _drain_sweep(
     base_dir: str,
     items: Sequence[WorkItem],
     lock_ttl: float,
-    scheduler: SweepScheduler,
+    scheduler: Optional[SweepScheduler],
 ) -> None:
-    """One worker of a scheduled (halving/ASHA) sweep.
+    """One sweep worker: claim and execute runs until the plan is drained.
 
-    Unlike the grid drain, work arrives in rung-sized slices: each sync of
-    the :class:`~repro.experiments.schedulers.coordinator.ScheduleCoordinator`
-    yields the currently runnable assignments (candidate + cumulative step
-    budget), and the worker claims them through the very same per-run LOCK
-    queue as grid sweeps.  A claimed candidate is resumed from its
-    checkpoint and paused again once it reaches the rung budget
-    (``max_steps``); at the final rung the budget is ``None`` and the run
-    finishes normally.  The worker exits once every candidate is terminal
-    (finished / corrupt / retired) — or when the schedule is stalled: no
-    assignment this worker has not already attempted and no live lock from
-    any other worker, which happens only when failed runs block a rung
-    quota that can then never fill.  Stalled candidates surface as
-    ``unfinished``/``failed`` in the outcome instead of hanging the sweep.
+    Without a scheduler (or with the grid one) every item runs to completion
+    from a static plan: no schedule state is written and no runs directory
+    is scanned, so ``--scheduler grid`` stays byte-identical to an
+    unscheduled sweep.  Halving/ASHA plans come from a
+    :class:`~repro.experiments.schedulers.coordinator.ScheduleCoordinator`:
+    a claimed candidate is resumed from its checkpoint and paused again at
+    the rung budget (``max_steps``); at the final rung the budget is
+    ``None`` and the run finishes normally.  Failures are recorded
+    (``FAILED.txt`` with the traceback) and the lock released, so other
+    workers, or a later re-launch, can retry.
     """
     runner = Runner(base_dir=base_dir)
     names = [item.name for item in items]
     queue = WorkQueue(base_dir, names, lock_ttl=lock_ttl)
     configs = {item.name: item.config for item in items}
-    coordinator = ScheduleCoordinator(base_dir, scheduler, names, lock_ttl)
-    poll_interval = _poll_interval(lock_ttl)
-    attempted: set = set()  # (name, rung) pairs this worker will not retry
+    if scheduler is None or scheduler.name == "grid" or not names:
+        next_plan: Callable[[], SchedulePlan] = lambda: _static_plan(queue)
+    else:
+        next_plan = ScheduleCoordinator(base_dir, scheduler, names, lock_ttl).sync
 
     def run_one(assignment: Assignment, workdir: Path) -> None:
         failed_marker = workdir / FAILED_FILE
         max_steps = None
         if assignment.budget is not None:
-            max_steps = max(assignment.budget - _checkpoint_steps(workdir), 0)
+            steps_done = _checkpoint_head(workdir / CHECKPOINT_FILE)[0] or 0
+            max_steps = max(assignment.budget - steps_done, 0)
         try:
             logger.info(
                 "worker %d: claimed %s (rung %d, budget %s)",
@@ -572,55 +552,27 @@ def _drain_scheduled(
             else:
                 failed_marker.unlink(missing_ok=True)
                 queue.complete(assignment.name)
-        except Exception as error:  # the schedule must survive any run failure
+        except Exception as error:  # the queue must survive any run failure
             failed_marker.write_text(traceback.format_exc(), encoding="utf-8")
             queue.release(assignment.name)
             logger.error("worker %d: %s failed: %s", os.getpid(), assignment.name, error)
 
-    while True:
-        plan = coordinator.sync()
-        if plan.all_terminal:
-            return
-        progressable = [
-            assignment
-            for assignment in plan.assignments
-            if (assignment.name, assignment.rung) not in attempted
-            and assignment.name in configs
-        ]
-        claimed: Optional[Assignment] = None
-        for assignment in progressable:
-            if queue.try_claim(assignment.name):
-                claimed = assignment
-                break
-        if claimed is None:
-            if not progressable and not any(
-                queue.lock_path(assignment.name).exists()
-                for assignment in plan.assignments
-            ):
-                logger.warning(
-                    "schedule stalled under %s: %d undecidable candidates left",
-                    base_dir,
-                    len(plan.assignments) + len(plan.waiting),
-                )
-                return
-            time.sleep(poll_interval)
-            continue
-        attempted.add((claimed.name, claimed.rung))
-        workdir = queue.workdir(claimed.name)
-        for stale_tmp in workdir.glob("*.tmp"):
-            stale_tmp.unlink(missing_ok=True)
-        run_one(claimed, workdir)
+    _drain(queue, next_plan, run_one)
 
 
-def _scheduled_sweep_worker(
+def _sweep_worker(
     base_dir: str,
     config_dicts: List[Dict[str, Any]],
     lock_ttl: float,
-    scheduler: SweepScheduler,
+    scheduler: Optional[SweepScheduler],
 ) -> None:
     """Multiprocessing entry point (schedulers are picklable frozen dataclasses)."""
     items = [WorkItem(ExperimentConfig.from_dict(data)) for data in config_dicts]
-    _drain_scheduled(base_dir, items, lock_ttl, scheduler)
+    _drain_sweep(base_dir, items, lock_ttl, scheduler)
+
+
+# The old name stays bound because perfbench/probes.py wraps both entry points.
+_scheduled_sweep_worker = _sweep_worker
 
 
 @dataclass
@@ -656,31 +608,26 @@ def run_sweep(
     missing.
 
     ``scheduler`` selects the promotion policy (``docs/schedulers.md``).
-    ``None`` and the grid scheduler take the plain run-everything path —
-    deliberately the very same code, so ``--scheduler grid`` output is
-    byte-identical to an unscheduled sweep; halving/ASHA schedulers route
-    through the rung-budgeted drain and may retire runs early.
+    ``None`` and the grid scheduler run every item to completion — the very
+    same static plan, so ``--scheduler grid`` output is byte-identical to an
+    unscheduled sweep; halving/ASHA schedulers plan rung by rung and may
+    retire runs early.
     """
     base_dir = Path(base_dir)
-    scheduled = scheduler is not None and scheduler.name != "grid" and bool(plan.items)
     workers = max(1, min(int(jobs), len(plan.items)))
     if workers <= 1:
-        if scheduled:
-            _drain_scheduled(str(base_dir), list(plan.items), lock_ttl, scheduler)
-        else:
-            _drain_queue(str(base_dir), list(plan.items), lock_ttl)
+        _drain_sweep(str(base_dir), list(plan.items), lock_ttl, scheduler)
     else:
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
         config_dicts = [item.config.to_dict() for item in plan.items]
-        if scheduled:
-            worker_args: Tuple[Any, ...] = (str(base_dir), config_dicts, lock_ttl, scheduler)
-            target: Callable[..., None] = _scheduled_sweep_worker
-        else:
-            worker_args = (str(base_dir), config_dicts, lock_ttl)
-            target = _sweep_worker
-        processes = [context.Process(target=target, args=worker_args) for _ in range(workers)]
+        processes = [
+            context.Process(
+                target=_sweep_worker, args=(str(base_dir), config_dicts, lock_ttl, scheduler)
+            )
+            for _ in range(workers)
+        ]
         for process in processes:
             process.start()
         for process in processes:
@@ -773,7 +720,8 @@ def execute_queued(
     queue = WorkQueue(base_dir, list(tasks), lock_ttl=lock_ttl)
     results: Dict[str, SearchResult] = {}
 
-    def run_one(name: str, workdir: Path) -> None:
+    def run_one(assignment: Assignment, workdir: Path) -> None:
+        name = assignment.name
         try:
             result = tasks[name](workdir)
         except BaseException:
@@ -785,7 +733,7 @@ def execute_queued(
         queue.complete(name)
         results[name] = result
 
-    _drain_claims(queue, list(tasks), run_one)
+    _drain(queue, lambda: _static_plan(queue), run_one)
     for name in tasks:
         if name not in results:
             results[name] = SearchResult.from_dict(

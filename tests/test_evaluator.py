@@ -9,8 +9,6 @@ from repro.autograd import Tensor
 from repro.evaluator import (
     Evaluator,
     EvaluatorEncoding,
-    HW_FIELD_ORDER,
-    LayerCostTable,
     METRIC_ORDER,
     generate_evaluator_dataset,
     train_cost_estimation_network,
@@ -18,7 +16,7 @@ from repro.evaluator import (
 )
 from repro.evaluator.cost_estimation_net import CostEstimationNetwork
 from repro.evaluator.hw_generation_net import HardwareGenerationNetwork
-from repro.hwmodel import AcceleratorConfig, HardwareMetrics, edap_cost
+from repro.hwmodel import AcceleratorConfig, CostTable, HardwareMetrics, edap_cost
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +41,7 @@ def hw_space():
 
 @pytest.fixture(scope="module")
 def cost_table(nas_space, hw_space):
-    return LayerCostTable(nas_space, hw_space)
+    return CostTable(nas_space, hw_space)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,8 @@ class TestEncoding:
 
     def test_field_slices_partition(self, encoding):
         slices = encoding.hw_field_slices()
-        assert set(slices) == set(HW_FIELD_ORDER)
+        assert encoding.hw_field_order == ("pe_x", "pe_y", "rf_size", "dataflow")
+        assert set(slices) == set(encoding.hw_field_order)
 
 
 class TestLayerCostTable:
@@ -117,14 +116,14 @@ class TestEvaluatorDataset:
         assert dataset.arch_encodings.shape == (250, 63)
         assert dataset.hw_encodings.shape == (250, hw_space.encoding_width)
         assert dataset.metric_targets.shape == (250, 3)
-        assert set(dataset.hw_class_indices) == set(HW_FIELD_ORDER)
+        assert set(dataset.hw_class_indices) == set(dataset.encoding.hw_field_order)
 
     def test_targets_positive(self, dataset):
         assert np.all(dataset.metric_targets > 0)
 
     def test_labels_consistent_with_encodings(self, dataset, hw_space):
         slices = hw_space.field_slices()
-        for field_name in HW_FIELD_ORDER:
+        for field_name in dataset.encoding.hw_field_order:
             onehot_argmax = dataset.hw_encodings[:, slices[field_name]].argmax(axis=1)
             assert np.array_equal(onehot_argmax, dataset.hw_class_indices[field_name])
 
@@ -145,7 +144,7 @@ class TestHardwareGenerationNetwork:
     def test_forward_field_shapes(self, encoding):
         network = HardwareGenerationNetwork(encoding, hidden_features=32, rng=0)
         logits = network(Tensor(np.random.default_rng(0).normal(size=(4, encoding.arch_width))))
-        for field_name in HW_FIELD_ORDER:
+        for field_name in encoding.hw_field_order:
             assert logits[field_name].shape == (4, encoding.hw_field_sizes[field_name])
 
     def test_gumbel_output_is_per_field_one_hot(self, encoding):
@@ -154,7 +153,7 @@ class TestHardwareGenerationNetwork:
             Tensor(np.zeros((2, encoding.arch_width))), temperature=0.5, hard=True, rng=1
         )
         assert output.shape == (2, encoding.hw_width)
-        assert np.allclose(output.data.sum(axis=1), len(HW_FIELD_ORDER))
+        assert np.allclose(output.data.sum(axis=1), len(encoding.hw_field_order))
 
     def test_predict_config_in_space(self, encoding):
         network = HardwareGenerationNetwork(encoding, hidden_features=32, rng=0)

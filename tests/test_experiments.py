@@ -22,9 +22,9 @@ from repro.core import (
     SearchResult,
 )
 from repro.data import make_cifar_like, train_val_split
-from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
+from repro.evaluator import Evaluator, generate_evaluator_dataset, train_evaluator
 from repro.experiments import ExperimentConfig, Runner, Searcher, build_components
-from repro.hwmodel import AcceleratorConfig, HardwareMetrics, tiny_search_space
+from repro.hwmodel import AcceleratorConfig, CostTable, HardwareMetrics, tiny_search_space
 from repro.nas import build_cifar_search_space
 from repro.utils.serialization import (
     decode_state,
@@ -201,7 +201,7 @@ class TestSearcherProtocol:
             num_searchable=3, trainable_resolution=8, trainable_base_channels=4
         )
         hw_space = tiny_search_space()
-        return nas_space, hw_space, LayerCostTable(nas_space, hw_space)
+        return nas_space, hw_space, CostTable(nas_space, hw_space)
 
     def test_all_search_loops_implement_protocol(self, spaces):
         nas_space, hw_space, cost_table = spaces
@@ -363,7 +363,7 @@ class TestCheckpointResume:
             num_searchable=3, trainable_resolution=8, trainable_base_channels=4
         )
         hw_space = tiny_search_space()
-        cost_table = LayerCostTable(nas_space, hw_space)
+        cost_table = CostTable(nas_space, hw_space)
         images = make_cifar_like(num_samples=96, resolution=8, rng=0)
         train_set, val_set = train_val_split(images, val_fraction=0.25, rng=1)
         return nas_space, hw_space, cost_table, train_set, val_set
@@ -563,7 +563,7 @@ class TestRunnerFlows:
             num_searchable=3, trainable_resolution=8, trainable_base_channels=4
         )
         hw_space = tiny_hw()
-        cost_table = LayerCostTable(nas_space, hw_space)
+        cost_table = CostTable(nas_space, hw_space)
         images = make_cifar_like(num_samples=64, resolution=8, rng=0)
         train_set, val_set = train_val_split(images, val_fraction=0.25, rng=1)
         searcher = RLCoExplorationSearcher(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -109,15 +110,16 @@ class TestWorkQueue:
     def test_each_item_claimed_exactly_once(self, tmp_path):
         queue = WorkQueue(tmp_path, ["a", "b"], lock_ttl=60)
         other = WorkQueue(tmp_path, ["a", "b"], lock_ttl=60)
-        assert queue.claim() == "a"
-        assert other.claim() == "b"  # "a" is locked by `queue`
-        assert other.claim() is None
-        assert queue.claim(skip=["a"]) is None
+        assert queue.try_claim("a")
+        assert not other.try_claim("a")  # "a" is locked by `queue`
+        assert other.try_claim("b")
+        assert not other.try_claim("a") and not other.try_claim("b")
+        assert not queue.try_claim("b")
 
     def test_finished_items_are_not_claimable(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "a" / RESULT_FILE).write_text("{}")
-        assert WorkQueue(tmp_path, ["a"], lock_ttl=60).claim() is None
+        assert not WorkQueue(tmp_path, ["a"], lock_ttl=60).try_claim("a")
 
     def test_killed_workers_claim_expires_and_is_reclaimable(self, tmp_path):
         """The crash-safety core: a dead worker's item frees after lock_ttl."""
@@ -255,6 +257,38 @@ class TestParallelSweep:
         retry = run_sweep(plan, base_dir=tmp_path, jobs=1, lock_ttl=60)
         assert retry.complete
         assert not failure.exists()
+
+    def test_worker_waits_for_a_live_retry_of_a_run_it_failed(self, tmp_path, monkeypatch):
+        """A worker does not retry its own failure, but while a live peer
+        holds the failed run's lock it waits for that retry to end, so the
+        sweep reports the peer's result instead of an unfinished run."""
+        config = tiny_config()
+        original_run, original_release = Runner.run, WorkQueue.release
+        peers = []
+
+        def failing_run(self, cfg, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        def peer_retry(workdir: Path) -> None:
+            try:
+                original_run(Runner(base_dir=tmp_path), config, workdir=workdir, resume=True)
+            finally:
+                (workdir / LOCK_FILE).unlink()
+
+        def release_then_peer_claims(self, name):
+            original_release(self, name)
+            self.lock_path(name).write_text('{"token": "live-peer"}')
+            peers.append(threading.Thread(target=peer_retry, args=(self.workdir(name),)))
+            peers[-1].start()
+
+        monkeypatch.setattr(Runner, "run", failing_run)
+        monkeypatch.setattr(WorkQueue, "release", release_then_peer_claims)
+        outcome = run_sweep(SweepPlan.from_grid(config), base_dir=tmp_path, jobs=1, lock_ttl=8)
+        for peer in peers:
+            peer.join(timeout=60)
+            assert not peer.is_alive()
+        assert outcome.complete
+        assert (tmp_path / config.name / FAILED_FILE).exists()  # this worker did fail it
 
     def test_runner_sweep_raises_on_unfinished(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

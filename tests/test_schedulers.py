@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentConfig, Runner, SweepPlan, run_sweep
+from repro.experiments import ExperimentConfig, Runner, SweepPlan, WorkQueue, run_sweep
 from repro.experiments.runner import CHECKPOINT_FILE, RESULT_FILE
 from repro.experiments.schedulers import (
     ASHA,
@@ -378,8 +379,8 @@ class TestScheduledSweep:
         ) == normalized_result_bytes(reference_dir / survivor / RESULT_FILE)
 
     def test_grid_scheduler_is_byte_identical_to_no_scheduler(self, tmp_path):
-        """`--scheduler grid` routes through the legacy drain: same bytes,
-        no schedule state file, nothing retired."""
+        """`--scheduler grid` drains the same static plan as no scheduler:
+        same bytes, no schedule state file, nothing retired."""
         plain_dir, grid_dir = tmp_path / "plain", tmp_path / "grid"
         plan = SweepPlan.from_grid(tiny_config(), methods=["baseline"], seeds=[0, 1])
         plain = run_sweep(plan, base_dir=plain_dir, jobs=1, lock_ttl=60)
@@ -410,6 +411,45 @@ class TestScheduledSweep:
         assert "baseline-cifar-seed0" in outcome.unfinished
         assert (tmp_path / "baseline-cifar-seed0" / FAILED_FILE).exists()
         assert item_state(tmp_path / "baseline-cifar-seed0", lock_ttl=60) == "failed"
+
+    @pytest.mark.parametrize("scheduler", [None, ASHA(eta=2, min_steps=1)], ids=["grid", "asha"])
+    def test_stale_lock_on_a_failed_candidate_does_not_hang_the_drain(
+        self, tmp_path, monkeypatch, scheduler
+    ):
+        """Only a *live* lock keeps a worker waiting: a dead peer's expired
+        lock on a candidate this worker already failed must not stall the
+        drain forever.  The sweep runs in a daemon thread so a hang fails
+        the test instead of the suite."""
+        plan, _ = asha_plan(tmp_path)
+        failing = "baseline-cifar-seed0"
+        original_run, original_release = Runner.run, WorkQueue.release
+
+        def failing_run(self, cfg, *args, **kwargs):
+            if cfg.name == failing:
+                raise RuntimeError("boom")
+            return original_run(self, cfg, *args, **kwargs)
+
+        def release_then_dead_peer_lock(self, name):
+            original_release(self, name)
+            if name == failing:  # a peer claims the failed run, then dies
+                lock = self.lock_path(name)
+                lock.write_text('{"token": "dead-peer"}')
+                age_file(lock, 3600)
+
+        monkeypatch.setattr(Runner, "run", failing_run)
+        monkeypatch.setattr(WorkQueue, "release", release_then_dead_peer_lock)
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(
+                sweep=run_sweep(plan, base_dir=tmp_path, jobs=1, lock_ttl=2, scheduler=scheduler)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "drain still waiting on an expired lock"
+        assert failing in outcome["sweep"].unfinished
+        assert item_state(tmp_path / failing, lock_ttl=2) == "stale"
 
 
 # ----------------------------------------------------------------------
