@@ -503,7 +503,8 @@ def submit_job(root: Union[str, Path], data: Mapping[str, Any]):
     config.  Raises ``ValueError`` (with did-you-mean hints, via
     ``ExperimentConfig.from_dict``) on a malformed payload and
     :class:`JobConflictError` when the run directory already holds a
-    config or result.
+    config or result, or its ``LOCK`` is held (a concurrent submission of
+    the same run, or a worker executing it).
 
     The payload may carry three extra, non-config keys — ``scheduler``
     (registry name), ``eta`` and ``min_steps`` — to register the run as a
@@ -515,6 +516,8 @@ def submit_job(root: Union[str, Path], data: Mapping[str, Any]):
     """
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import CONFIG_FILE, RESULT_FILE
+    from repro.experiments.sweep import DEFAULT_LOCK_TTL, LOCK_FILE
+    from repro.utils.files import FileLock
 
     if not isinstance(data, Mapping):
         raise ValueError(f"job payload must be a JSON object, got {type(data).__name__}")
@@ -538,20 +541,35 @@ def submit_job(root: Union[str, Path], data: Mapping[str, Any]):
         )
     config = ExperimentConfig.from_dict(payload)
     workdir = Path(root) / config.name
-    if (workdir / CONFIG_FILE).exists() or (workdir / RESULT_FILE).exists():
-        raise JobConflictError(
-            f"run {config.name!r} already exists under {root}; "
-            f"query it via /v1/jobs/{config.name} or choose a different seed/method"
-        )
+    conflict = JobConflictError(
+        f"run {config.name!r} already exists under {root}; "
+        f"query it via /v1/jobs/{config.name} or choose a different seed/method"
+    )
+
+    def exists() -> bool:
+        return (workdir / CONFIG_FILE).exists() or (workdir / RESULT_FILE).exists()
+
+    if exists():
+        raise conflict
     if scheduler is not None and scheduler.name != "grid":
         # Validate the registration (parameter agreement, no decisions yet)
         # BEFORE the config lands: a rejected candidate must not linger as
         # a pending run the schedule will never admit.
         from repro.experiments.schedulers import register_candidates
-        from repro.experiments.sweep import DEFAULT_LOCK_TTL
 
         register_candidates(root, scheduler, [config.name], DEFAULT_LOCK_TTL)
-    config.save(workdir / CONFIG_FILE)
+    # Re-check and write under the run's own lock (the one queue workers
+    # claim), so of two concurrent submissions of one run exactly one lands.
+    # A held lock means a submitter or a worker owns the run: a conflict.
+    lock = FileLock(workdir / LOCK_FILE, DEFAULT_LOCK_TTL)
+    if not lock.try_acquire():
+        raise conflict
+    try:
+        if exists():
+            raise conflict
+        config.save(workdir / CONFIG_FILE)
+    finally:
+        lock.release()
     return config
 
 

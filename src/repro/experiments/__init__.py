@@ -14,7 +14,7 @@ and sweep every search method.
   :class:`~repro.experiments.sweep.SweepPlan` (grid expansion + CI shard
   slicing), :class:`~repro.experiments.sweep.WorkQueue` (crash-safe
   file-lock work queue over run directories) and
-  :class:`~repro.experiments.sweep.ParallelRunner` (``--jobs N`` workers,
+  :func:`~repro.experiments.sweep.run_sweep` (``--jobs N`` workers,
   results bit-identical to the serial path);
 * :mod:`~repro.experiments.browser` — the incremental read path over run
   directories: lean per-run summaries behind a versioned mtime/size-keyed
@@ -39,7 +39,6 @@ from repro.experiments.factory import (
 )
 from repro.experiments.runner import Runner
 from repro.experiments.sweep import (
-    ParallelRunner,
     SweepPlan,
     WorkItem,
     WorkQueue,
@@ -64,7 +63,6 @@ __all__ = [
     "build_hw_space",
     "build_search_space",
     "Runner",
-    "ParallelRunner",
     "SweepPlan",
     "WorkItem",
     "WorkQueue",

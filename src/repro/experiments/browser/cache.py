@@ -23,9 +23,11 @@ Robustness rules (asserted by ``tests/test_browser.py``):
 * a missing, truncated, garbage or wrong-version cache file degrades to a
   cold scan — never an exception;
 * individually malformed entries are skipped, the rest are kept;
-* writes go through :func:`repro.utils.serialization.save_json` (atomic
-  temp-file + rename), so concurrent scanners — or a scanner racing a
-  sweep worker — can never observe a partially-written cache;
+* writes go through :func:`repro.utils.serialization.save_json`, i.e. the
+  one temp-file + rename writer :func:`repro.utils.files.atomic_write`, so
+  concurrent scanners — or a scanner racing a sweep worker — can never
+  observe a partially-written cache, and a failed write leaves no temp
+  file in the runs root;
 * a read-only runs directory silently skips the write: caching is an
   optimisation, not a requirement.
 """

@@ -319,39 +319,6 @@ class Runner:
         return results
 
     # ------------------------------------------------------------------
-    # The incremental results browser behind all reporting
-    # ------------------------------------------------------------------
-    def browse(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
-        refresh: bool = False,
-        filters: Optional[Dict[str, str]] = None,
-        lock_ttl: Optional[float] = None,
-    ):
-        """Scan ``root`` through the summary cache and apply ``--filter`` slices.
-
-        Returns ``(root, summaries)`` — the resolved root path and the
-        (possibly filtered) relpath-to-:class:`RunSummary` mapping every
-        report surface below is built from.  One call performs at most one
-        directory walk; unchanged runs are served from
-        ``<root>/.browser_cache.json`` without opening their artefacts
-        (see ``docs/browser.md``).
-        """
-        from repro.experiments.browser import browse, filter_summaries
-        from repro.experiments.sweep import DEFAULT_LOCK_TTL
-
-        root = Path(root) if root is not None else self.base_dir
-        outcome = browse(root, use_cache=use_cache, refresh=refresh)
-        summaries = filter_summaries(
-            outcome.summaries,
-            filters,
-            root,
-            DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl,
-        )
-        return root, summaries
-
-    # ------------------------------------------------------------------
     # Pareto view (error vs EDAP, Figure-5 style)
     # ------------------------------------------------------------------
     def format_pareto(self, records: Sequence[Dict[str, Any]]) -> str:
@@ -403,16 +370,15 @@ class Runner:
         workers actually used.  ``filters`` slices every section of the
         report to the matching runs (``--filter backend=...,task=...``);
         ``use_cache``/``refresh`` control the summary cache (see
-        :meth:`browse`).  On a cold cache the output is byte-identical to
-        the pre-browser full rescan.
+        ``docs/browser.md``).  On a cold cache the output is byte-identical
+        to the pre-browser full rescan.
         """
         from repro import api
         from repro.experiments.browser import results_view, status_view
-        from repro.experiments.sweep import DEFAULT_LOCK_TTL, format_sweep_status
+        from repro.experiments.sweep import format_sweep_status
 
-        ttl = DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl
-        root, summaries = self.browse(
-            root, use_cache=use_cache, refresh=refresh, filters=filters, lock_ttl=ttl
+        root, summaries, ttl = api._browse(
+            self.base_dir if root is None else root, lock_ttl, use_cache, refresh, filters
         )
         named = [
             (name, summary.to_result()) for name, summary in results_view(summaries, root)

@@ -52,7 +52,6 @@ from repro.experiments.schedulers.state import (
     STATE_FILE,
     STATE_LOCK_FILE,
     ScheduleState,
-    StateLock,
     load_state,
     register_candidates,
     save_state,
@@ -72,7 +71,6 @@ __all__ = [
     "ScheduleCoordinator",
     "SchedulePlan",
     "ScheduleState",
-    "StateLock",
     "SuccessiveHalving",
     "SweepScheduler",
     "available_schedulers",

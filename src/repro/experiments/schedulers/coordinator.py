@@ -34,13 +34,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from repro.experiments.schedulers.base import PROMOTED, RETIRED, SweepScheduler, build_ladder
 from repro.experiments.schedulers.state import (
     RETIRED_FILE,
+    STATE_LOCK_FILE,
     ScheduleState,
-    StateLock,
     load_state,
     register_candidates,
     save_state,
     state_lock_ttl,
 )
+from repro.utils.files import FileLock
 from repro.utils.logging import get_logger
 from repro.utils.serialization import save_json
 
@@ -84,7 +85,7 @@ class ScheduleCoordinator:
     ) -> None:
         self.base_dir = Path(base_dir)
         self.scheduler = scheduler
-        self.lock = StateLock(self.base_dir, state_lock_ttl(lock_ttl))
+        self.lock = FileLock(self.base_dir / STATE_LOCK_FILE, state_lock_ttl(lock_ttl))
         # Registers this worker's candidates (validating scheduler-parameter
         # agreement with any pre-existing schedule) and pins the ladder.
         state = register_candidates(self.base_dir, scheduler, candidates, lock_ttl)

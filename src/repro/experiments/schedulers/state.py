@@ -16,19 +16,21 @@ serve API can render them without re-deriving::
       "decisions": {"0": {"a": "promoted", "b": "retired", ...}, ...}
     }
 
-Crash-safety discipline (mirroring the :class:`~repro.experiments.sweep.
-WorkQueue` locks, asserted by ``tests/test_schedulers.py``):
+Crash-safety discipline (the two primitives of :mod:`repro.utils.files`
+that every run artefact and the work queue's ``LOCK`` files use too,
+asserted by ``tests/test_schedulers.py``):
 
 * the file itself is written atomically (:func:`~repro.utils.
-  serialization.save_json`: temp file + rename), so a worker SIGKILLed
-  mid-promotion leaves either the old or the new complete document, never
-  a torn one;
-* read-modify-write cycles run under ``.scheduler_state.lock`` — an
-  ``O_CREAT | O_EXCL`` claim recording ``(host, pid, random token)``,
-  broken via atomic rename once its mtime exceeds the ttl, released only
-  by the token holder.  Because the ledger is append-only and decisions
-  are deterministic recomputations, losing the lock mid-update costs at
-  most a redundant (identical) write — never a divergent schedule;
+  serialization.save_json` through :func:`~repro.utils.files.atomic_write`:
+  temp file + rename), so a worker SIGKILLed mid-promotion leaves either
+  the old or the new complete document, never a torn one;
+* read-modify-write cycles run under ``.scheduler_state.lock``, a
+  :class:`~repro.utils.files.FileLock` — an ``O_CREAT | O_EXCL`` claim
+  recording ``(host, pid, random token)``, broken via atomic rename once
+  its mtime exceeds the ttl, released only by the token holder.  Because
+  the ledger is append-only and decisions are deterministic
+  recomputations, losing the lock mid-update costs at most a redundant
+  (identical) write — never a divergent schedule;
 * a retired candidate additionally gets a ``RETIRED.txt`` marker in its
   run directory (deterministic content), which the results browser
   classifies as the ``retired`` state, distinct from ``failed``.
@@ -37,19 +39,13 @@ WorkQueue` locks, asserted by ``tests/test_schedulers.py``):
 from __future__ import annotations
 
 import json
-import os
-import socket
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.schedulers.base import RETIRED, SweepScheduler
-from repro.utils.logging import get_logger
+from repro.utils.files import FileLock
 from repro.utils.serialization import save_json
-
-logger = get_logger("experiments.schedulers.state")
 
 STATE_FILE = ".scheduler_state.json"
 STATE_LOCK_FILE = ".scheduler_state.lock"
@@ -175,97 +171,6 @@ def save_state(state: ScheduleState, base_dir: Union[str, Path]) -> Path:
     return save_json(state.to_dict(), state_path(base_dir))
 
 
-class StateLock:
-    """``O_EXCL`` + owner-token file lock guarding the schedule state.
-
-    The same discipline as the work queue's per-run ``LOCK`` files —
-    atomic creation, stale-break by rename after the ttl, token-checked
-    release — applied to one file shared by every worker of a scheduled
-    sweep.  Critical sections are short (read + rewrite a few-KB JSON
-    document), so :meth:`acquire` spins rather than queueing.
-    """
-
-    def __init__(self, base_dir: Union[str, Path], ttl: float) -> None:
-        self.path = Path(base_dir) / STATE_LOCK_FILE
-        self.ttl = float(ttl)
-        self._token: Optional[str] = None
-
-    def try_acquire(self) -> bool:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists() and not self._break_if_stale():
-            return False
-        token = f"{socket.gethostname()}-{os.getpid()}-{os.urandom(8).hex()}"
-        try:
-            descriptor = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "host": socket.gethostname(),
-                    "pid": os.getpid(),
-                    "token": token,
-                    "claimed_at": time.time(),
-                },
-                handle,
-            )
-        self._token = token
-        return True
-
-    def _break_if_stale(self) -> bool:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except FileNotFoundError:
-            return True
-        if age < self.ttl:
-            return False
-        corpse = self.path.with_name(
-            f"{STATE_LOCK_FILE}.broken-{os.getpid()}-{time.monotonic_ns()}"
-        )
-        try:
-            os.rename(self.path, corpse)
-        except FileNotFoundError:
-            return True
-        corpse.unlink(missing_ok=True)
-        logger.warning(
-            "broke stale schedule lock %s (no activity for %.0fs > ttl %.0fs)",
-            self.path,
-            age,
-            self.ttl,
-        )
-        return True
-
-    def acquire(self, timeout: Optional[float] = None) -> bool:
-        """Spin until the lock is held (or ``timeout`` seconds passed)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        poll = max(0.01, min(0.25, self.ttl / 20))
-        while not self.try_acquire():
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(poll)
-        return True
-
-    def release(self) -> None:
-        token, self._token = self._token, None
-        if token is None:
-            return
-        try:
-            owner = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return
-        if owner.get("token") == token:
-            self.path.unlink(missing_ok=True)
-
-    @contextmanager
-    def hold(self, timeout: Optional[float] = None) -> Iterator[None]:
-        if not self.acquire(timeout=timeout):
-            raise TimeoutError(f"could not acquire schedule lock {self.path}")
-        try:
-            yield
-        finally:
-            self.release()
-
-
 def register_candidates(
     base_dir: Union[str, Path],
     scheduler: SweepScheduler,
@@ -284,7 +189,7 @@ def register_candidates(
     """
     eta = getattr(scheduler, "eta", 0)
     min_steps = getattr(scheduler, "min_steps", 0)
-    with StateLock(base_dir, state_lock_ttl(lock_ttl)).hold():
+    with FileLock(Path(base_dir) / STATE_LOCK_FILE, state_lock_ttl(lock_ttl)).hold():
         state = load_state(base_dir)
         if state is None:
             state = ScheduleState(

@@ -12,11 +12,12 @@ here:
 * :class:`WorkQueue` — a cooperative file-lock queue over run directories.
   Any number of workers (processes of one ``--jobs N`` invocation, or
   independent CI shards pointed at a shared directory) claim items by
-  atomically creating a ``LOCK`` file, heartbeat it while working, and
-  delete it on completion.  A worker that dies leaves its lock behind; once
-  the lock's mtime is older than ``lock_ttl`` seconds any other worker
-  breaks it and re-claims the item, resuming from the last checkpoint;
-* :func:`run_sweep` / :class:`ParallelRunner` — drive workers over a plan.
+  taking the run's ``LOCK`` (a :class:`~repro.utils.files.FileLock`),
+  heartbeat it while working, and release it when done.  A worker that
+  dies leaves its lock behind; once the lock's mtime is older than
+  ``lock_ttl`` seconds any other worker breaks it and re-claims the item,
+  resuming from the last checkpoint;
+* :func:`run_sweep` — drives workers over a plan.
   Every worker runs one claim loop, whether its plan is static (grid
   sweeps, ``sweep --queue``, :func:`execute_queued`) or comes rung by rung
   from a halving/ASHA schedule (:mod:`repro.experiments.schedulers`).
@@ -32,7 +33,6 @@ import json
 import multiprocessing
 import os
 import re
-import socket
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -50,6 +50,7 @@ from repro.experiments.schedulers.coordinator import (
     SchedulePlan,
 )
 from repro.experiments.schedulers.state import RETIRED_FILE
+from repro.utils.files import TEMP_GLOB, FileLock, atomic_write
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_json
 
@@ -135,7 +136,7 @@ class SweepPlan:
         A pending run is a direct child holding a ``config.json`` but no
         ``result.json`` — exactly what ``POST /v1/jobs`` (:mod:`repro.serve`)
         writes — so ``sweep --queue`` workers drain submitted jobs through
-        the same claim / heartbeat / complete cycle as grid sweeps.
+        the same claim / heartbeat / release cycle as grid sweeps.
         Directories whose name disagrees with their config's canonical name
         are skipped (a renamed directory would otherwise execute under a
         name no status query can find), as are unparseable configs (they
@@ -204,16 +205,14 @@ def parse_shard(spec: str) -> Tuple[int, int]:
 class WorkQueue:
     """Cooperative file-lock work queue over run directories.
 
-    Claiming creates ``<base_dir>/<name>/LOCK`` with ``O_CREAT | O_EXCL``
-    (atomic on every POSIX filesystem), so exactly one worker wins each
-    item.  The lock records its owner (host, pid, random token) and is
-    refreshed (mtime) by :meth:`heartbeat` after every search step; a lock
-    whose mtime is older than ``lock_ttl`` seconds is considered abandoned
-    by a crashed worker and is broken via an atomic rename — only one
-    contender wins the rename, so a reclaimed item still has exactly one
-    owner.  :meth:`release`/:meth:`complete` verify the owner token before
-    unlinking, so a worker that stalled past the ttl cannot delete the lock
-    of the worker that legitimately took over.
+    Each item is guarded by one :class:`~repro.utils.files.FileLock` at
+    ``<base_dir>/<name>/LOCK``: claiming creates it with ``O_CREAT |
+    O_EXCL``, so exactly one worker wins each item; :meth:`heartbeat`
+    refreshes its mtime after every search step; a lock silent for longer
+    than ``lock_ttl`` seconds is considered abandoned by a crashed worker
+    and broken, so the item can be re-claimed; and :meth:`release` verifies
+    the owner token before unlinking, so a worker that stalled past the ttl
+    cannot delete the lock of the worker that legitimately took over.
     """
 
     def __init__(
@@ -225,7 +224,7 @@ class WorkQueue:
         self.base_dir = Path(base_dir)
         self.names = list(names)
         self.lock_ttl = float(lock_ttl)
-        self._tokens: Dict[str, str] = {}
+        self._locks: Dict[str, FileLock] = {}
 
     # -- paths ----------------------------------------------------------
     def workdir(self, name: str) -> Path:
@@ -237,96 +236,24 @@ class WorkQueue:
     def is_done(self, name: str) -> bool:
         return (self.workdir(name) / RESULT_FILE).exists()
 
-    # -- claiming -------------------------------------------------------
-    def try_claim(self, name: str) -> bool:
-        """Attempt to claim one item; ``True`` if this worker now owns it."""
-        if self.is_done(name):
-            return False
-        lock = self.lock_path(name)
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        if lock.exists() and not self._break_if_stale(lock):
-            return False
-        token = f"{socket.gethostname()}-{os.getpid()}-{os.urandom(8).hex()}"
-        try:
-            descriptor = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "host": socket.gethostname(),
-                    "pid": os.getpid(),
-                    "token": token,
-                    "claimed_at": time.time(),
-                },
-                handle,
-            )
-        self._tokens[name] = token
-        return True
-
-    def _break_if_stale(self, lock: Path) -> bool:
-        """``True`` if ``lock`` is gone (possibly because we just broke it)."""
-        try:
-            age = time.time() - lock.stat().st_mtime
-        except FileNotFoundError:
-            return True
-        if age < self.lock_ttl:
-            return False
-        # Atomic rename: of all workers seeing the stale lock, exactly one
-        # wins.  (A lock re-created in the stat->rename window could in
-        # principle be swept up too; the window is microseconds wide and the
-        # re-creator only got there by breaking the same expired lock, so
-        # the queue still ends with at most one owner per item.)
-        corpse = lock.with_name(f"{LOCK_FILE}.broken-{os.getpid()}-{time.monotonic_ns()}")
-        try:
-            os.rename(lock, corpse)
-        except FileNotFoundError:
-            return True
-        corpse.unlink(missing_ok=True)
-        logger.warning("broke stale lock %s (no heartbeat for %.0fs > ttl %.0fs)", lock, age, self.lock_ttl)
-        return True
+    def _lock(self, name: str) -> FileLock:
+        if name not in self._locks:
+            self._locks[name] = FileLock(self.lock_path(name), self.lock_ttl)
+        return self._locks[name]
 
     # -- ownership lifecycle -------------------------------------------
-    def heartbeat(self, name: str) -> None:
-        """Refresh the claim so other workers keep treating it as alive.
+    def try_claim(self, name: str) -> bool:
+        """Attempt to claim one item; ``True`` if this worker now owns it."""
+        return not self.is_done(name) and self._lock(name).try_acquire()
 
-        The owner token is re-checked first: a worker that stalled past the
-        ttl and lost its claim must not refresh the lock of the worker that
-        took over.
-        """
-        token = self._tokens.get(name)
-        if token is None:
-            return
-        lock = self.lock_path(name)
-        try:
-            owner = json.loads(lock.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return
-        if owner.get("token") == token:
-            try:
-                os.utime(lock)
-            except FileNotFoundError:
-                pass
+    def heartbeat(self, name: str) -> None:
+        """Refresh the claim so other workers keep treating it as alive."""
+        self._lock(name).heartbeat()
 
     def release(self, name: str) -> None:
-        """Give up a claim (crash/error path): the item becomes claimable again."""
-        self._unlink_owned(name)
-
-    def complete(self, name: str) -> None:
-        """Finish a claim after ``result.json`` was written."""
-        self._unlink_owned(name)
-
-    def _unlink_owned(self, name: str) -> None:
-        token = self._tokens.pop(name, None)
-        if token is None:
-            return
-        lock = self.lock_path(name)
-        try:
-            owner = json.loads(lock.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return
-        if owner.get("token") == token:
-            lock.unlink(missing_ok=True)
+        """Give up a claim: after ``result.json`` was written, or so the item
+        becomes claimable again (pause, crash or error path)."""
+        self._lock(name).release()
 
     # -- inspection -----------------------------------------------------
     def status(self) -> Dict[str, str]:
@@ -452,10 +379,10 @@ def _drain(
     :meth:`~repro.experiments.schedulers.coordinator.ScheduleCoordinator.sync`
     for halving/ASHA), claims the first one of this queue's items that this
     worker has not attempted at that rung yet, clears the stale ``*.tmp``
-    debris of killed writers and calls ``run_one(assignment, workdir)``,
-    which owns the lock lifecycle (it must end in ``complete`` or
-    ``release``).  A worker never retries its own attempt: a deterministic
-    error would loop forever.
+    debris of killed :func:`~repro.utils.files.atomic_write` calls and calls
+    ``run_one(assignment, workdir)``, which owns the lock lifecycle (it must
+    end in ``release``).  A worker never retries its own attempt: a
+    deterministic error would loop forever.
 
     The loop returns once the plan is terminal, or once nothing is left to
     claim here and no remaining assignment holds a *live* lock.  A live
@@ -493,7 +420,7 @@ def _drain(
             continue
         attempted.add((claimed.name, claimed.rung))
         workdir = queue.workdir(claimed.name)
-        for stale_tmp in workdir.glob("*.tmp"):
+        for stale_tmp in workdir.glob(TEMP_GLOB):
             stale_tmp.unlink(missing_ok=True)
         run_one(claimed, workdir)
 
@@ -547,13 +474,12 @@ def _drain_sweep(
                 max_steps=max_steps,
                 on_step=lambda step, _name=assignment.name: queue.heartbeat(_name),
             )
-            if result is None:
-                queue.release(assignment.name)  # paused at the rung budget
-            else:
+            if result is not None:
                 failed_marker.unlink(missing_ok=True)
-                queue.complete(assignment.name)
+            queue.release(assignment.name)  # finished, or paused at the rung budget
         except Exception as error:  # the queue must survive any run failure
-            failed_marker.write_text(traceback.format_exc(), encoding="utf-8")
+            trace = traceback.format_exc()
+            atomic_write(failed_marker, lambda handle: handle.write(trace))
             queue.release(assignment.name)
             logger.error("worker %d: %s failed: %s", os.getpid(), assignment.name, error)
 
@@ -601,7 +527,7 @@ def run_sweep(
     """Execute a sweep plan with ``jobs`` workers and write the combined report.
 
     ``jobs=1`` drains the queue in-process (still through the same claim /
-    heartbeat / complete cycle, so concurrent CI shards sharing ``base_dir``
+    heartbeat / release cycle, so concurrent CI shards sharing ``base_dir``
     compose with it); ``jobs>1`` forks worker processes.  Finished runs are
     skipped via their saved results, so re-launching an interrupted sweep —
     or launching complementary ``--shard`` slices — simply fills in what is
@@ -651,50 +577,12 @@ def run_sweep(
         report += f"\n\nRetired by scheduler ({len(retired)}): " + ", ".join(retired)
     if unfinished:
         report += "\n\n" + format_sweep_status(sweep_status(base_dir, lock_ttl))
-    report_path = base_dir / "REPORT.txt"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    # Atomic, per-pid temp: concurrent shard invocations sharing the runs
-    # directory each rename a complete report into place (last one wins).
-    temporary = report_path.with_name(f"{report_path.name}.{os.getpid()}.tmp")
-    temporary.write_text(report + "\n", encoding="utf-8")
-    temporary.replace(report_path)
+    # Atomic: concurrent shard invocations sharing the runs directory each
+    # rename a complete report into place (last one wins).
+    report_path = atomic_write(base_dir / "REPORT.txt", lambda handle: handle.write(report + "\n"))
     return SweepOutcome(
         results=results, unfinished=unfinished, report_path=report_path, retired=retired
     )
-
-
-class ParallelRunner(Runner):
-    """A :class:`Runner` whose sweeps fan out over the work queue by default."""
-
-    def __init__(
-        self,
-        base_dir: Union[str, Path] = "runs",
-        jobs: int = 1,
-        lock_ttl: float = DEFAULT_LOCK_TTL,
-    ) -> None:
-        super().__init__(base_dir=base_dir)
-        self.jobs = jobs
-        self.lock_ttl = lock_ttl
-
-    def sweep(
-        self,
-        base_config: ExperimentConfig,
-        methods: Optional[Sequence[str]] = None,
-        seeds: Optional[Sequence[int]] = None,
-        title: Optional[str] = None,
-        jobs: Optional[int] = None,
-        shard: Optional[Tuple[int, int]] = None,
-        lock_ttl: Optional[float] = None,
-    ) -> List[SearchResult]:
-        return super().sweep(
-            base_config,
-            methods=methods,
-            seeds=seeds,
-            title=title,
-            jobs=self.jobs if jobs is None else jobs,
-            shard=shard,
-            lock_ttl=self.lock_ttl if lock_ttl is None else lock_ttl,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -705,7 +593,7 @@ def execute_queued(
     base_dir: Union[str, Path],
     lock_ttl: float = DEFAULT_LOCK_TTL,
 ) -> Dict[str, SearchResult]:
-    """Run prebuilt search thunks through the claim → execute → complete cycle.
+    """Run prebuilt search thunks through the claim → execute → release cycle.
 
     ``tasks`` maps run-directory names to callables that receive the claimed
     working directory and return the finished :class:`SearchResult` (writing
@@ -730,7 +618,7 @@ def execute_queued(
         if result is None:
             queue.release(name)
             raise RuntimeError(f"queued task {name!r} did not produce a result")
-        queue.complete(name)
+        queue.release(name)
         results[name] = result
 
     _drain(queue, lambda: _static_plan(queue), run_one)

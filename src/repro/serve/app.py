@@ -11,8 +11,8 @@ Design rules:
 * **Threaded, not stateful.**  ``ThreadingHTTPServer`` gives one thread per
   request; all shared mutable state lives in battle-tested layers below
   (the browser cache writes atomically with per-thread temp names, the
-  work queue claims via ``O_EXCL`` locks, resident cost tables build under
-  a per-key lock).  Handlers themselves keep no state.
+  work queue claims and job submissions take the run's ``O_EXCL`` lock,
+  resident cost tables build under a per-key lock).  Handlers themselves keep no state.
 * **Errors are documents too.**  Every non-2xx body is
   ``{"schema_version": ..., "error": ...}`` through the same encoder, and
   unknown names answer with the repository's canonical did-you-mean hints.

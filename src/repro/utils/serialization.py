@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-import threading
 from pathlib import Path
 from typing import Any, Optional, Union
 
 import numpy as np
+
+from repro.utils.files import atomic_write
 
 _NDARRAY_KEY = "__ndarray__"
 _RNG_KEY = "__np_generator__"
@@ -82,27 +82,15 @@ class _NumpyEncoder(json.JSONEncoder):
 def save_json(obj: Any, path: Union[str, Path], compact: bool = False) -> Path:
     """Serialise ``obj`` to ``path`` as pretty-printed JSON and return the path.
 
-    Written atomically (temp file + rename): the work queue of
-    :mod:`repro.experiments.sweep` treats the existence of ``result.json``
-    as the run's done marker, so a worker killed mid-write must never leave
-    a truncated file behind.  ``compact=True`` drops the pretty-printing
+    Written atomically (:func:`~repro.utils.files.atomic_write`): the work
+    queue of :mod:`repro.experiments.sweep` treats the existence of
+    ``result.json`` as the run's done marker, so a worker killed mid-write
+    must never leave a truncated file behind.  ``compact=True`` drops the pretty-printing
     whitespace — used for machine-only files like the results browser's
     summary cache, where parse speed and size matter more than diffability.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Per-process *and* per-thread temp name: two sweep workers racing on the
-    # same run (a pathological lock takeover), or two ``repro.serve`` handler
-    # threads rewriting the browser cache, each rename a complete file into
-    # place.
-    temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    with temporary.open("w", encoding="utf-8") as handle:
-        if compact:
-            json.dump(obj, handle, separators=(",", ":"), cls=_NumpyEncoder)
-        else:
-            json.dump(obj, handle, indent=2, cls=_NumpyEncoder)
-    temporary.replace(path)
-    return path
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    return atomic_write(path, lambda handle: json.dump(obj, handle, cls=_NumpyEncoder, **layout))
 
 
 def load_json(path: Union[str, Path]) -> Any:
@@ -202,16 +190,11 @@ def decode_state(obj: Any) -> Any:
 def save_checkpoint(state: Any, path: Union[str, Path]) -> Path:
     """Encode ``state`` losslessly and write it to ``path`` as JSON.
 
-    The file is written atomically (temp file + rename) so a run killed
-    mid-checkpoint never leaves a truncated checkpoint behind.
+    The file is written atomically (:func:`~repro.utils.files.atomic_write`),
+    so a run killed mid-checkpoint never leaves a truncated checkpoint
+    behind.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    with temporary.open("w", encoding="utf-8") as handle:
-        json.dump(encode_state(state), handle)
-    temporary.replace(path)
-    return path
+    return atomic_write(path, lambda handle: json.dump(encode_state(state), handle))
 
 
 def load_checkpoint(path: Union[str, Path]) -> Any:

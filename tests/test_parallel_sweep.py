@@ -147,7 +147,7 @@ class TestWorkQueue:
         assert takeover.try_claim("a")
         stalled.release("a")  # token no longer matches: must not unlink
         assert stalled.lock_path("a").exists()
-        takeover.complete("a")
+        takeover.release("a")
         assert not takeover.lock_path("a").exists()
 
     def test_release_makes_item_claimable_again(self, tmp_path):

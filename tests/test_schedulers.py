@@ -25,7 +25,6 @@ from repro.experiments.schedulers import (
     GridScheduler,
     ScheduleCoordinator,
     ScheduleState,
-    StateLock,
     SuccessiveHalving,
     available_schedulers,
     build_ladder,
@@ -44,6 +43,7 @@ from repro.experiments.schedulers.state import (
     state_lock_ttl,
 )
 from repro.experiments.sweep import FAILED_FILE, LOCK_FILE, item_state
+from repro.utils.files import FileLock
 
 from test_parallel_sweep import TINY_SWEEP, age_file, normalized_result_bytes
 
@@ -236,8 +236,8 @@ class TestScheduleState:
             ScheduleState.from_dict({"schema_version": 1, "candidates": "abc"})
 
     def test_lock_is_exclusive_and_token_checked(self, tmp_path):
-        holder = StateLock(tmp_path, ttl=60)
-        other = StateLock(tmp_path, ttl=60)
+        holder = FileLock(tmp_path / STATE_LOCK_FILE, ttl=60)
+        other = FileLock(tmp_path / STATE_LOCK_FILE, ttl=60)
         assert holder.try_acquire()
         assert not other.try_acquire()
         other.release()  # never held it: must not unlink the holder's file
@@ -248,9 +248,9 @@ class TestScheduleState:
     def test_stale_lock_is_broken_after_ttl(self, tmp_path):
         """A worker SIGKILLed while holding the schedule lock must not stall
         the schedule: the next acquire breaks the lock once it goes stale."""
-        dead = StateLock(tmp_path, ttl=60)
+        dead = FileLock(tmp_path / STATE_LOCK_FILE, ttl=60)
         assert dead.try_acquire()
-        survivor = StateLock(tmp_path, ttl=60)
+        survivor = FileLock(tmp_path / STATE_LOCK_FILE, ttl=60)
         assert not survivor.try_acquire()
         age_file(tmp_path / STATE_LOCK_FILE, 120)
         assert survivor.try_acquire()

@@ -405,6 +405,38 @@ class TestJobs:
         assert status == 409
         assert "already exists" in json.loads(body)["error"]
 
+    def test_concurrent_submissions_of_one_run_accept_exactly_one(
+        self, live_server, monkeypatch
+    ):
+        """Two POSTs of the same run racing past the existence check: the
+        run's LOCK admits one writer, the other gets 409 instead of
+        silently overwriting the accepted config."""
+        from repro.experiments.config import ExperimentConfig
+
+        barrier = threading.Barrier(2, timeout=30)
+        parse = ExperimentConfig.from_dict.__func__
+
+        def racing_from_dict(cls, data):
+            config = parse(cls, data)
+            barrier.wait()  # both requests reach the check together
+            return config
+
+        monkeypatch.setattr(ExperimentConfig, "from_dict", classmethod(racing_from_dict))
+        for trial in range(50):
+            payload = tiny_job_payload(seed=100 + trial)
+            statuses = []
+            posters = [
+                threading.Thread(
+                    target=lambda: statuses.append(http_post(live_server, "/v1/jobs", payload)[0])
+                )
+                for _ in range(2)
+            ]
+            for poster in posters:
+                poster.start()
+            for poster in posters:
+                poster.join(timeout=60)
+            assert sorted(statuses) == [201, 409], f"trial {trial}: {statuses}"
+
     def test_malformed_payloads_are_400_with_hint(self, live_server):
         status, body = http_post(live_server, "/v1/jobs", {"methd": "baseline"})
         assert status == 400
